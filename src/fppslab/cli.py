@@ -9,8 +9,8 @@ stderr. Floats in CSV output are printed with 17 significant digits and a
 '.' decimal separator, so files round-trip bit-exactly.
 
 A JSON config file may supply any long-flag value (``--config path``);
-values given as flags override the file. The environment variable
-FPP_THREADS caps worker parallelism; output bytes do not depend on it.
+values given as flags override the file. Output bytes are a pure function
+of the parameters.
 """
 
 from __future__ import annotations
@@ -69,13 +69,32 @@ def _render_json(command: str, params: dict, header: list[str], rows: list[list]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write(path: str, text: str) -> None:
+    """Write, fsync, rename over ``path``, then fsync its directory.
+
+    The file gets the mode a plain open() would give it (0o666 minus the
+    umask), not mkstemp's 0o600.
+    """
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
+            os.fchmod(f.fileno(), 0o666 & ~_umask())
             f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, target)
+        dir_fd = os.open(target.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except BaseException:
         try:
             os.unlink(tmp)
@@ -91,14 +110,6 @@ def _emit(args, command: str, params: dict, header: list[str], rows: list[list])
         text = _render_csv(header, rows)
     _atomic_write(args.out, text)
     print(f"{command}: wrote {len(rows)} row(s) to {args.out}")
-
-
-def _threads() -> int:
-    raw = os.environ.get("FPP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"FPP_THREADS must be an integer, got {raw!r}")
 
 
 def _model_from_args(args) -> WeightModel:
@@ -118,7 +129,6 @@ def _experiment_config(args, model: WeightModel) -> ExperimentConfig:
         model=model,
         replicates=args.reps,
         root_seed=args.seed,
-        box_radius=args.box_radius,
         budget_cap=args.budget_cap,
     )
 
@@ -157,13 +167,13 @@ def _cmd_sample(args, sampler: str) -> None:
               "seed": args.seed, "family": model.family, "a": model.a,
               "mode": args.mode}
     if args.mode == "summary":
-        stats = run_slab_mc(cfg, sampler, threads=_threads())
+        stats = run_slab_mc(cfg, sampler)
         _emit(args, f"sample-{sampler}", params, _SUMMARY_HEADER, _summary_rows(stats))
         return
     header = ["d", "replicate", "seed", "value"]
     rows = []
     for d in cfg.d_grid:
-        values = sample_crossing_values(cfg, sampler, d, threads=_threads())
+        values = sample_crossing_values(cfg, sampler, d)
         for rep, v in enumerate(values):
             rows.append([d, rep, derive_seed(cfg.root_seed, d, rep), float(v)])
     _emit(args, f"sample-{sampler}", params, header, rows)
@@ -172,8 +182,7 @@ def _cmd_sample(args, sampler: str) -> None:
 def _cmd_concentration(args) -> None:
     model = _model_from_args(args)
     cfg = _experiment_config(args, model)
-    curve = concentration_curve(cfg, args.eta, threads=_threads(),
-                                sampler=args.sampler)
+    curve = concentration_curve(cfg, args.eta, sampler=args.sampler)
     header = ["d", "eta", "n", "p_hat", "wilson_lo", "wilson_hi"]
     rows = [[d, args.eta, e.n, e.p_hat, e.wilson_lo, e.wilson_hi]
             for d, e in curve.items()]
@@ -185,7 +194,7 @@ def _cmd_concentration(args) -> None:
 def _cmd_subadd(args) -> None:
     model = _model_from_args(args)
     cfg = _experiment_config(args, model)
-    reports = subadditivity_check(cfg, args.n, threads=_threads())
+    reports = subadditivity_check(cfg, args.n)
     header = ["d", "n", "replicates", "lhs_mean", "lhs_se", "rhs_mean",
               "rhs_se", "combined_se", "pathwise_violations"]
     rows = [[r.d, r.n, r.replicates, r.lhs_mean, r.lhs_se, r.rhs_mean,
@@ -203,7 +212,7 @@ def _cmd_search_cross(args) -> None:
               "fj_wilson_lo", "fj_wilson_hi", "target_rate", "capped_replicates"]
     rows = []
     for d in args.d:
-        r = search_cross_probe(d, model, args.reps, threads=_threads())
+        r = search_cross_probe(d, model, args.reps)
         rows.append([r.d, r.subspace_dim, r.path_steps, r.x_threshold,
                      r.y_threshold, r.replicates, r.p_hat_fj, r.p_hat_path,
                      r.p_hat_tau, r.fj_wilson[0], r.fj_wilson[1],
@@ -215,7 +224,7 @@ def _cmd_search_cross(args) -> None:
 def _cmd_ui_tail(args) -> None:
     model = _model_from_args(args)
     cfg = _experiment_config(args, model)
-    tails = ui_tail(cfg, args.M, threads=_threads(), sampler=args.sampler)
+    tails = ui_tail(cfg, args.M, sampler=args.sampler)
     header = ["d", "M", "n", "tail_mean"]
     rows = [[d, args.M, cfg.replicates, t] for d, t in tails.items()]
     _emit(args, "ui-tail",
@@ -297,7 +306,6 @@ def build_parser(suppress_defaults: bool = False) -> tuple[argparse.ArgumentPars
             arg(sp, "--d", type=int, action="append",
                 help="dimension; repeat for a grid")
             arg(sp, "--reps", type=int, default=100)
-            arg(sp, "--box-radius", type=int, default=6)
             arg(sp, "--budget-cap", type=int, default=1_000_000)
 
     sp = sub.add_parser("bounds", help="evaluate the moment-bound series")

@@ -2,7 +2,7 @@
 
 Replicate seeds derive from the root seed by hashing (root, d, replicate),
 never by splitting a sequential stream, so results are independent of
-execution order and worker count. Aggregation is plain numpy reductions
+execution order. Aggregation is plain numpy reductions
 over arrays indexed by replicate, which makes every reported number a pure
 function of the configuration.
 
@@ -13,7 +13,6 @@ distribution concentrates at 1 as the dimension grows.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import inf
@@ -23,11 +22,7 @@ import numpy as np
 from .eden import DEFAULT_CLUSTER_CAP, sample_slab_crossing
 from .errors import DomainError, SamplerMismatch
 from .lattice import EdgeId, Point, step
-from .slab import (
-    greedy_concatenation,
-    point_to_hyperplane_stabilized,
-    slab_crossing_time,
-)
+from .slab import greedy_concatenation, point_to_hyperplane_time, slab_crossing_time
 from .weights import WeightModel, derive_seed
 
 SAMPLERS = ("eden", "slab")
@@ -41,7 +36,6 @@ class ExperimentConfig:
     model: WeightModel
     replicates: int
     root_seed: int
-    box_radius: int = 6
     budget_cap: int = DEFAULT_CLUSTER_CAP
 
     def __post_init__(self) -> None:
@@ -70,16 +64,7 @@ class SummaryStats:
     normalized_var: float | None
 
 
-def _map_indexed(fn, n: int, threads: int) -> list:
-    """Order-preserving map; identical output for any worker count."""
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(n)))
-
-
-def sample_crossing_values(config: ExperimentConfig, sampler: str, d: int, *,
-                           threads: int = 1) -> np.ndarray:
+def sample_crossing_values(config: ExperimentConfig, sampler: str, d: int) -> np.ndarray:
     """Independent slab-crossing samples at dimension d, one per replicate."""
     if sampler not in SAMPLERS:
         raise DomainError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
@@ -104,7 +89,7 @@ def sample_crossing_values(config: ExperimentConfig, sampler: str, d: int, *,
             return slab_crossing_time(seeded, origin, 0,
                                       settled_cap=config.budget_cap).value
 
-    return np.array(_map_indexed(one, config.replicates, threads), dtype=np.float64)
+    return np.array([one(rep) for rep in range(config.replicates)], dtype=np.float64)
 
 
 def summarize(values: np.ndarray, d: int, a: float | None) -> SummaryStats:
@@ -127,12 +112,11 @@ def summarize(values: np.ndarray, d: int, a: float | None) -> SummaryStats:
     )
 
 
-def run_slab_mc(config: ExperimentConfig, sampler: str = "eden", *,
-                threads: int = 1) -> dict[int, SummaryStats]:
+def run_slab_mc(config: ExperimentConfig, sampler: str = "eden") -> dict[int, SummaryStats]:
     """Summary statistics of the slab crossing time over the dimension grid."""
     out: dict[int, SummaryStats] = {}
     for d in config.d_grid:
-        values = sample_crossing_values(config, sampler, d, threads=threads)
+        values = sample_crossing_values(config, sampler, d)
         out[d] = summarize(values, d, config.model.a)
     return out
 
@@ -197,8 +181,7 @@ def normalized_values(values: np.ndarray, d: int, a: float) -> np.ndarray:
 
 
 def concentration_curve(config: ExperimentConfig, eta: float, *,
-                        sampler: str = "eden",
-                        threads: int = 1) -> dict[int, ExceedanceEstimate]:
+                        sampler: str = "eden") -> dict[int, ExceedanceEstimate]:
     """Empirical P(|X - 1| > eta) per dimension, with Wilson intervals."""
     if not eta > 0:
         raise DomainError(f"eta must be positive, got {eta}")
@@ -206,7 +189,7 @@ def concentration_curve(config: ExperimentConfig, eta: float, *,
         raise DomainError("concentration needs a declared density a")
     out: dict[int, ExceedanceEstimate] = {}
     for d in config.d_grid:
-        values = sample_crossing_values(config, sampler, d, threads=threads)
+        values = sample_crossing_values(config, sampler, d)
         x = normalized_values(values, d, config.model.a)
         hits = int(np.count_nonzero(np.abs(x - 1.0) > eta))
         lo, hi = wilson_interval(hits, len(x))
@@ -215,8 +198,8 @@ def concentration_curve(config: ExperimentConfig, eta: float, *,
     return out
 
 
-def ui_tail(config: ExperimentConfig, m_cut: float, *, sampler: str = "eden",
-            threads: int = 1) -> dict[int, float]:
+def ui_tail(config: ExperimentConfig, m_cut: float, *,
+            sampler: str = "eden") -> dict[int, float]:
     """Truncated mean E[X 1{X >= M}] of the normalized statistic, per d."""
     if not m_cut > 0:
         raise DomainError(f"M must be positive, got {m_cut}")
@@ -224,7 +207,7 @@ def ui_tail(config: ExperimentConfig, m_cut: float, *, sampler: str = "eden",
         raise DomainError("the normalized tail needs a declared density a")
     out: dict[int, float] = {}
     for d in config.d_grid:
-        values = sample_crossing_values(config, sampler, d, threads=threads)
+        values = sample_crossing_values(config, sampler, d)
         x = normalized_values(values, d, config.model.a)
         out[d] = float(np.sum(x[x >= m_cut]) / len(x))
     return out
@@ -253,8 +236,7 @@ class SubadditivityReport:
     pathwise_violations: int
 
 
-def subadditivity_check(config: ExperimentConfig, n: int, *,
-                        threads: int = 1) -> dict[int, SubadditivityReport]:
+def subadditivity_check(config: ExperimentConfig, n: int) -> dict[int, SubadditivityReport]:
     """Compare direct hyperplane passage against greedy slab crossings."""
     if n < 1:
         raise DomainError(f"need n >= 1 hyperplanes, got {n}")
@@ -265,12 +247,11 @@ def subadditivity_check(config: ExperimentConfig, n: int, *,
             seeded = config.model.with_seed(derive_seed(config.root_seed, d, rep))
             crossings = greedy_concatenation(seeded, d, n,
                                              settled_cap=config.budget_cap)
-            direct = point_to_hyperplane_stabilized(seeded, d, n,
-                                                    r0=config.box_radius,
-                                                    settled_cap=config.budget_cap)
+            direct = point_to_hyperplane_time(seeded, d, n,
+                                              settled_cap=config.budget_cap)
             return direct, [s.value for s in crossings]
 
-        rows = _map_indexed(one, config.replicates, threads)
+        rows = [one(rep) for rep in range(config.replicates)]
         direct = np.array([r[0] for r in rows])
         sums = np.array([sum(r[1]) for r in rows])
         singles = np.array([v for r in rows for v in r[1]])
@@ -370,8 +351,7 @@ def _fast_path_exists(model, d: int, p: int, n_steps: int, x: float,
 
 
 def search_cross_probe(d: int, model: WeightModel, replicates: int, *,
-                       node_cap: int = 1_000_000,
-                       threads: int = 1) -> SearchCrossReport:
+                       node_cap: int = 1_000_000) -> SearchCrossReport:
     """Estimate the cheap-detour probability at dimension d.
 
     Parameter choices follow the classical construction: subspace dimension
@@ -398,7 +378,7 @@ def search_cross_probe(d: int, model: WeightModel, replicates: int, *,
         found, capped = _fast_path_exists(seeded, d, p, n_steps, x, node_cap)
         return tau <= y, found, capped
 
-    rows = _map_indexed(one, replicates, threads)
+    rows = [one(rep) for rep in range(replicates)]
     tau_ok = np.array([r[0] for r in rows])
     path_ok = np.array([r[1] for r in rows])
     capped = sum(1 for r in rows if r[2])

@@ -1,17 +1,23 @@
-"""Exact passage times on truncated or implicit regions of Z^d.
+"""Exact passage times on implicit regions of Z^d.
 
-All searches are lazy best-first (Dijkstra) over the implicit graph: edge
-weights are generated on first touch through the seeded oracle, so no
-realization is ever materialized and only O(settled * d) edges are drawn.
+Every search is one lazy best-first (Dijkstra) kernel over the implicit
+lattice: edge weights are generated on first touch through the seeded
+oracle, so no realization is ever materialized and only O(settled * d)
+edges are drawn. The kernel takes a start vertex and an allowed range
+lo <= x_1 <= hi; its targets are the plane x_1 = hi and, optionally, one
+goal vertex. The other coordinates are unbounded, so there is no box and
+no truncation error.
 
-The slab crossing search runs on the vertices of a single hyperplane plus
-one exit super-sink: every settled vertex contributes its forward edge as a
-candidate exit. The search stops the moment the cheapest heap entry is an
-exit, i.e. when the best tentative exit value is <= every tentative
-in-plane value; the returned value is then exact, with no truncation error.
-Ties (measure zero under continuous weights, possible under table atoms)
-break deterministically: exits before in-plane arrivals, then lexicographic
-vertex order.
+A target vertex enters the heap as a terminal entry and is never
+expanded. The search stops the moment the cheapest heap entry is a target,
+i.e. when the best tentative target value is <= every other tentative
+value; that value is then exact. Ties (measure zero under continuous
+weights, possible under table atoms) break deterministically: targets
+before other entries, then lexicographic vertex order.
+
+The slab crossing from plane k is the search over k <= x_1 <= k + 1, so
+its target is x_1 = k + 1; the point-to-hyperplane time is the search over
+0 <= x_1 <= n; the point-to-point time searches all of Z^d for the goal y.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .lattice import EdgeId, Point, hyperplane_index, step
 
 DEFAULT_SETTLED_CAP = 10_000_000
 
-_EXIT, _INPLANE = 0, 1  # heap kinds; exits win ties
+_TARGET, _INNER = 0, 1  # heap kinds; targets win ties
 
 
 @dataclass(frozen=True)
@@ -39,15 +45,52 @@ class PassageSample:
     seed_used: int | None
 
 
-def _inplane_edge(v: Point, axis: int, delta: int) -> EdgeId:
+def _edge(v: Point, axis: int, delta: int) -> EdgeId:
     if delta > 0:
         return EdgeId(v, axis)
     return EdgeId(step(v, axis, -1), axis)
 
 
+def _lazy_search(model, start: Point, lo: float, hi: float, goal: Point | None,
+                 settled_cap: int) -> tuple[float, Point, int]:
+    """Dijkstra from ``start`` over the vertices with lo <= x_1 <= hi.
+
+    The targets are the vertices on the plane x_1 = hi and the vertex
+    ``goal``. Returns (value, target vertex, settled count) for the first
+    target to pop. A target enters the heap as a terminal entry that is
+    never expanded; on equal values it pops before any other entry, then in
+    lexicographic vertex order. Settling more than ``settled_cap`` vertices
+    raises BudgetExceeded.
+    """
+    moves = [(axis, delta) for axis in range(len(start)) for delta in (1, -1)]
+    dist: dict[Point, float] = {start: 0.0}
+    settled: set[Point] = set()
+    heap: list[tuple[float, int, Point]] = [(0.0, _INNER, start)]
+    while heap:
+        val, kind, v = heapq.heappop(heap)
+        if kind == _TARGET:
+            return val, v, len(settled)
+        if v in settled:
+            continue
+        settled.add(v)
+        if len(settled) > settled_cap:
+            raise BudgetExceeded(f"search exceeded settled cap {settled_cap}")
+        for axis, delta in moves:
+            if axis == 0 and not lo <= v[0] + delta <= hi:
+                continue
+            q = step(v, axis, delta)
+            if q in settled:
+                continue
+            nd = val + model.edge_weight(_edge(v, axis, delta))
+            if nd < dist.get(q, inf):
+                dist[q] = nd
+                target = q[0] == hi or q == goal
+                heapq.heappush(heap, (nd, _TARGET if target else _INNER, q))
+    raise BudgetExceeded("search exhausted without reaching a target")
+
+
 def slab_crossing_time(model, start: Point, k: int = 0, *,
-                       settled_cap: int = DEFAULT_SETTLED_CAP,
-                       extra_settles: int = 0) -> PassageSample:
+                       settled_cap: int = DEFAULT_SETTLED_CAP) -> PassageSample:
     """Cheapest crossing from ``start`` into the next hyperplane.
 
     Minimizes total weight over finite paths whose non-terminal vertices all
@@ -55,160 +98,46 @@ def slab_crossing_time(model, start: Point, k: int = 0, *,
     {x_1 = k + 1}; backward edges are not available at all. The optimum is
     found exactly; ``settled_cap`` is only a safety valve against weight
     models with mass far from zero.
-
-    ``extra_settles`` keeps the search running that many more settles after
-    the answer is known and returns the best exit seen overall; it exists so
-    tests can demonstrate that the early stop loses nothing.
     """
     d = len(start)
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
     if hyperplane_index(start) != k:
         raise DomainError(f"start {start} does not lie in hyperplane {k}")
-
-    dist: dict[Point, float] = {start: 0.0}
-    settled: set[Point] = set()
-    heap: list[tuple[float, int, Point]] = [(0.0, _INPLANE, start)]
-    best_exit = inf
-    best_exit_base: Point | None = None
-    remaining_extra = -1  # armed once the first exit pops
-
-    while heap:
-        val, kind, v = heapq.heappop(heap)
-        if kind == _EXIT:
-            if val < best_exit:
-                best_exit = val
-                best_exit_base = v
-            if remaining_extra < 0:
-                remaining_extra = extra_settles
-            if remaining_extra == 0:
-                break
-            continue
-        if v in settled:
-            continue
-        if remaining_extra == 0:
-            break
-        settled.add(v)
-        if remaining_extra > 0:
-            remaining_extra -= 1
-        if len(settled) > settled_cap:
-            raise BudgetExceeded(f"slab search exceeded settled cap {settled_cap}")
-        heapq.heappush(heap, (val + model.edge_weight(EdgeId(v, 0)), _EXIT, v))
-        for axis in range(1, d):
-            for delta in (1, -1):
-                q = step(v, axis, delta)
-                if q in settled:
-                    continue
-                nd = val + model.edge_weight(_inplane_edge(v, axis, delta))
-                if nd < dist.get(q, inf):
-                    dist[q] = nd
-                    heapq.heappush(heap, (nd, _INPLANE, q))
-
-    if best_exit_base is None:
-        raise BudgetExceeded("slab search exhausted without an exit")
+    value, exit_vertex, settled = _lazy_search(
+        model, start, k, k + 1, None, settled_cap)
     return PassageSample(
-        value=best_exit,
-        exit_vertex=step(best_exit_base, 0, 1),
-        settled_count=len(settled),
+        value=value,
+        exit_vertex=exit_vertex,
+        settled_count=settled,
         dimension=d,
         seed_used=getattr(model, "seed", None),
     )
 
 
-def point_to_hyperplane_time(model, d: int, n: int, box_radius: int, *,
+def point_to_hyperplane_time(model, d: int, n: int, *,
                              settled_cap: int = DEFAULT_SETTLED_CAP) -> float:
-    """Cheapest passage from the origin to any vertex with x_1 = n.
+    """Exact passage time from the origin to the hyperplane {x_1 = n}.
 
-    Paths are confined to the box 0 <= x_1 <= n, |x_j| <= box_radius for
-    j >= 2; within it the value is exact. Use the stabilized variant to
-    remove the box dependence.
+    Minimizes over paths whose vertices all satisfy 0 <= x_1 <= n (the
+    first vertex on x_1 = n ends the path); the other coordinates are
+    unbounded.
     """
     if n < 1:
         raise DomainError(f"hyperplane index must be >= 1, got {n}")
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    start = (0,) * d
-    dist: dict[Point, float] = {start: 0.0}
-    settled: set[Point] = set()
-    heap: list[tuple[float, Point]] = [(0.0, start)]
-    while heap:
-        val, v = heapq.heappop(heap)
-        if v in settled:
-            continue
-        if v[0] == n:
-            return val
-        settled.add(v)
-        if len(settled) > settled_cap:
-            raise BudgetExceeded(f"hyperplane search exceeded settled cap {settled_cap}")
-        for axis in range(d):
-            for delta in (1, -1):
-                q = step(v, axis, delta)
-                if axis == 0:
-                    if q[0] < 0 or q[0] > n:
-                        continue
-                elif abs(q[axis]) > box_radius:
-                    continue
-                if q in settled:
-                    continue
-                nd = val + model.edge_weight(_inplane_edge(v, axis, delta))
-                if nd < dist.get(q, inf):
-                    dist[q] = nd
-                    heapq.heappush(heap, (nd, q))
-    raise BudgetExceeded("hyperplane search exhausted the truncated box")
+    return _lazy_search(model, (0,) * d, 0, n, None, settled_cap)[0]
 
 
-def point_to_hyperplane_stabilized(model, d: int, n: int, *, r0: int = 4,
-                                   r_max: int = 1 << 14,
-                                   settled_cap: int = DEFAULT_SETTLED_CAP) -> float:
-    """Box-free point-to-hyperplane time by radius doubling.
-
-    Doubles the box radius until two consecutive values agree exactly; the
-    value is nonincreasing in the radius, so agreement means the optimizing
-    path fits strictly inside.
-    """
-    r = max(1, r0)
-    prev = point_to_hyperplane_time(model, d, n, r, settled_cap=settled_cap)
-    while r <= r_max:
-        r *= 2
-        cur = point_to_hyperplane_time(model, d, n, r, settled_cap=settled_cap)
-        if cur == prev:
-            return cur
-        prev = cur
-    raise BudgetExceeded(f"no stabilization below box radius {r_max}")
-
-
-def point_to_point_time(model, x: Point, y: Point, box_radius: int, *,
+def point_to_point_time(model, x: Point, y: Point, *,
                         settled_cap: int = DEFAULT_SETTLED_CAP) -> float:
-    """Exact passage time between x and y inside the inflated bounding box."""
+    """Exact passage time between x and y over all of Z^d."""
     if x == y:
         raise DomainError("endpoints must differ")
     if len(x) != len(y):
         raise DomainError("endpoints must share a dimension")
-    d = len(x)
-    lo = tuple(min(a, b) - box_radius for a, b in zip(x, y))
-    hi = tuple(max(a, b) + box_radius for a, b in zip(x, y))
-    dist: dict[Point, float] = {x: 0.0}
-    settled: set[Point] = set()
-    heap: list[tuple[float, Point]] = [(0.0, x)]
-    while heap:
-        val, v = heapq.heappop(heap)
-        if v in settled:
-            continue
-        if v == y:
-            return val
-        settled.add(v)
-        if len(settled) > settled_cap:
-            raise BudgetExceeded(f"point search exceeded settled cap {settled_cap}")
-        for axis in range(d):
-            for delta in (1, -1):
-                q = step(v, axis, delta)
-                if q[axis] < lo[axis] or q[axis] > hi[axis] or q in settled:
-                    continue
-                nd = val + model.edge_weight(_inplane_edge(v, axis, delta))
-                if nd < dist.get(q, inf):
-                    dist[q] = nd
-                    heapq.heappush(heap, (nd, q))
-    raise BudgetExceeded("point search exhausted the truncated box")
+    return _lazy_search(model, x, -inf, inf, y, settled_cap)[0]
 
 
 def greedy_concatenation(model, d: int, n: int, *,
