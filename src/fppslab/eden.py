@@ -158,11 +158,6 @@ class ClusterState:
     def infected_count(self) -> int:
         return len(self.coords)
 
-    @property
-    def infected(self) -> set[Point]:
-        """Infected vertices as full lattice points in the start hyperplane."""
-        return {(0,) + c for c in self.coords}
-
     def perimeter_edges(self) -> set[EdgeId]:
         """Perimeter edge set rebuilt from scratch (exact, O(i * d))."""
         cells = set(self.coords)

@@ -303,26 +303,22 @@ class SearchCrossReport:
     capped_replicates: int
 
 
-def _fast_path_exists(model, d: int, p: int, n_steps: int, x: float,
+def _fast_path_exists(model: WeightModel, d: int, p: int, n_steps: int, x: float,
                       node_cap: int) -> tuple[bool, bool]:
     """Best-first search for an n-step path with total weight <= x.
 
     The first n-1 steps move inside the subspace of axes 2..p+1; the last
     step is the forward edge. Partial costs above x are pruned, so only
-    the cheap subtree is ever explored. Returns (found, capped); when the
-    node cap bites, ``found`` is still a valid one-sided hit.
+    the cheap subtree is ever explored. Each expansion takes the weights of
+    all 2p subspace edges at its vertex from one ``star_weights`` batch.
+    Returns (found, capped); when the node cap bites, ``found`` is still a
+    valid one-sided hit.
     """
     start = (0,) * d
     if n_steps == 1:
         return model.edge_weight(EdgeId(start, 0)) <= x, False
-    memo: dict[EdgeId, float] = {}
-
-    def weight(e: EdgeId) -> float:
-        w = memo.get(e)
-        if w is None:
-            w = memo[e] = model.edge_weight(e)
-        return w
-
+    axes = range(1, p + 1)
+    moves = [(axis, delta) for axis in axes for delta in (1, -1)]  # star_weights order
     best: dict[tuple[int, Point], float] = {(0, start): 0.0}
     heap: list[tuple[float, int, Point]] = [(0.0, 0, start)]
     settled: set[tuple[int, Point]] = set()
@@ -336,15 +332,15 @@ def _fast_path_exists(model, d: int, p: int, n_steps: int, x: float,
         if nodes > node_cap:
             return False, True
         if t == n_steps - 1:
-            if cost + weight(EdgeId(v, 0)) <= x:
+            if cost + model.edge_weight(EdgeId(v, 0)) <= x:
                 return True, False
             continue
-        for axis in range(1, p + 1):
-            for delta in (1, -1):
+        for (axis, delta), w in zip(moves, model.star_weights(v, axes)):
+            nc = cost + w
+            if nc <= x:
                 q = step(v, axis, delta)
-                nc = cost + weight(EdgeId(v, axis) if delta > 0 else EdgeId(q, axis))
                 key = (t + 1, q)
-                if nc <= x and nc < best.get(key, inf):
+                if nc < best.get(key, inf):
                     best[key] = nc
                     heappush(heap, (nc, t + 1, q))
     return False, False

@@ -8,6 +8,17 @@ are mapped to a uniform in the open interval (0, 1), which is then pushed
 through the quantile function. This gives bit-exact reproducibility across
 runs, platforms, and any parallel schedule, with no stored realization.
 
+``WeightModel.star_weights(v, axes)`` is the batch form of the oracle: it
+returns the weights of the two edges along each axis at v (the edge to
+v + e_axis, then the edge to v - e_axis) and hashes all their keys in
+lockstep as numpy ``uint64`` arrays, one vectorized SplitMix64 round per
+key word. uint64 arithmetic wraps mod 2^64 exactly like the scalar fold,
+and the bits-to-unit map is exact in doubles, so the uniforms are the
+scalar ones bit for bit. The quantile step stays scalar: ``np.log1p``
+differs from ``math.log1p`` in the last ulp on about 10% of inputs, so a
+vectorized quantile would change the weights. Each weight therefore goes
+through ``quantile`` one at a time, exactly as in ``edge_weight``.
+
 Supported families:
 
 * ``exp``     -- Exponential(a): F(x) = 1 - exp(-a x)
@@ -22,12 +33,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedModel
-from .lattice import EdgeId
+from .lattice import EdgeId, Point
 
 U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -37,6 +48,11 @@ FAMILIES = ("exp", "uniform", "table")
 # largest argument quantile() accepts; couple() clamps here for huge t
 _Y_MAX = 1.0 - 2.0**-53
 
+# mix64's constants as numpy scalars, for the batch oracle
+_GOLDEN_U = np.uint64(_GOLDEN)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: a published 64-bit avalanche permutation."""
@@ -44,6 +60,15 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & U64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & U64
     return z ^ (z >> 31)
+
+
+def _mix64_inplace(z: np.ndarray) -> None:
+    """mix64 applied elementwise to a uint64 array, in place."""
+    z ^= z >> 30
+    z *= _MUL1
+    z ^= z >> 27
+    z *= _MUL2
+    z ^= z >> 31
 
 
 def fold64(seed: int, words) -> int:
@@ -93,6 +118,11 @@ class WeightModel:
     seed: int = 0
     c: float | None = None
     eps0: float | None = None
+    # quantile-table nodes split by coordinate, built once for quantile/cdf
+    _ys: tuple[float, ...] = field(init=False, repr=False, compare=False, hash=False,
+                                   default=())
+    _xs: tuple[float, ...] = field(init=False, repr=False, compare=False, hash=False,
+                                   default=())
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -116,7 +146,10 @@ class WeightModel:
                 raise DomainError("table x-values must be nondecreasing in y")
             if xs[0] < 0.0:
                 raise DomainError("weights must be nonnegative")
-            object.__setattr__(self, "points", tuple((float(y), float(x)) for y, x in pts))
+            pts = tuple((float(y), float(x)) for y, x in pts)
+            object.__setattr__(self, "points", pts)
+            object.__setattr__(self, "_ys", tuple(p[0] for p in pts))
+            object.__setattr__(self, "_xs", tuple(p[1] for p in pts))
         if self.a is not None and not self.a > 0:
             raise DomainError(f"rate a must be positive, got {self.a}")
 
@@ -134,8 +167,7 @@ class WeightModel:
             return -math.log1p(-y) / self.a
         if self.family == "uniform":
             return y / self.a
-        ys = [p[0] for p in self.points]
-        xs = [p[1] for p in self.points]
+        ys, xs = self._ys, self._xs
         if y >= ys[-1]:
             return xs[-1]
         # leftmost node with node_y >= y keeps the inverse left-continuous
@@ -157,8 +189,7 @@ class WeightModel:
             return -math.expm1(-self.a * x) if x > 0 else 0.0
         if self.family == "uniform":
             return min(max(self.a * x, 0.0), 1.0)
-        ys = [p[0] for p in self.points]
-        xs = [p[1] for p in self.points]
+        ys, xs = self._ys, self._xs
         if x < xs[0]:
             return 0.0
         if x >= xs[-1]:
@@ -176,6 +207,31 @@ class WeightModel:
         """Deterministic weight of edge e under this realization."""
         h = fold64(self.seed, (len(e.base), e.axis, *e.base))
         return self.quantile(bits_to_unit(h))
+
+    def star_weights(self, v: Point, axes) -> list[float]:
+        """Weights of the edges along ``axes`` at v, in one batch.
+
+        For each axis in order: the weight of ``EdgeId(v, axis)``, then that
+        of ``EdgeId(v - e_axis, axis)``. Equal bit for bit to the
+        ``edge_weight`` list; see the module docstring for why.
+        """
+        axes = list(axes)
+        d = len(v)
+        # column k is key k after its dimension word: the axis, then the
+        # coordinates, with v[axis_i] - 1 in place of v[axis_i] for k = 2i+1
+        words = np.empty((d + 1, 2 * len(axes)), dtype=np.uint64)
+        words[0] = np.repeat(np.array(axes, dtype=np.uint64), 2)
+        words[1:] = np.array([c & U64 for c in v], dtype=np.uint64)[:, None]
+        words[[axis + 1 for axis in axes], range(1, 2 * len(axes), 2)] = np.array(
+            [(v[axis] - 1) & U64 for axis in axes], dtype=np.uint64)
+        # the state after the seed and the dimension word is shared by all keys
+        h = np.full(2 * len(axes), fold64(self.seed, (d,)), dtype=np.uint64)
+        for w in words:
+            h += _GOLDEN_U
+            h ^= w
+            _mix64_inplace(h)
+        units = (((h >> 11).astype(np.float64) + 0.5) * 2.0**-53).tolist()
+        return [self.quantile(u) for u in units]
 
     def with_seed(self, seed: int) -> "WeightModel":
         return replace(self, seed=seed)

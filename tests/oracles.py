@@ -2,18 +2,21 @@
 
 These deliberately share no code with the package internals they verify:
 the slab oracle is a dense Bellman-Ford relaxation on an explicit truncated
-graph, and the quantile oracle reconstructs the forward CDF from tabulated
-inverse pairs on a dense grid and scans for the infimum.
+graph, the quantile oracle reconstructs the forward CDF from tabulated
+inverse pairs on a dense grid and scans for the infimum, and the
+cheap-detour oracle is the probe's search with one scalar ``edge_weight``
+call per edge.
 """
 
 from __future__ import annotations
 
 import itertools
+from heapq import heappop, heappush
 from math import inf
 
 import numpy as np
 
-from fppslab.lattice import EdgeId
+from fppslab.lattice import EdgeId, step
 
 
 def slab_value_bruteforce(model, d: int, radius: int) -> float:
@@ -66,3 +69,49 @@ def table_quantile_bruteforce(points, y: float, n: int = 400_001) -> float:
     if len(hit) == 0:
         raise ValueError(f"no grid point reaches CDF level {y}")
     return float(xgrid[hit[0]])
+
+
+def fast_path_exists_scalar(model, d: int, p: int, n_steps: int, x: float,
+                            node_cap: int) -> tuple[bool, bool]:
+    """(found, capped) of the cheap-detour path search, edge by edge.
+
+    Best-first over (steps taken, vertex) with the first n-1 steps inside
+    axes 1..p and the forward edge last, pruning partial costs above x;
+    every weight comes from a memoized scalar ``edge_weight`` call.
+    """
+    start = (0,) * d
+    if n_steps == 1:
+        return model.edge_weight(EdgeId(start, 0)) <= x, False
+    memo: dict[EdgeId, float] = {}
+
+    def weight(e: EdgeId) -> float:
+        w = memo.get(e)
+        if w is None:
+            w = memo[e] = model.edge_weight(e)
+        return w
+
+    best = {(0, start): 0.0}
+    heap = [(0.0, 0, start)]
+    settled = set()
+    nodes = 0
+    while heap:
+        cost, t, v = heappop(heap)
+        if (t, v) in settled:
+            continue
+        settled.add((t, v))
+        nodes += 1
+        if nodes > node_cap:
+            return False, True
+        if t == n_steps - 1:
+            if cost + weight(EdgeId(v, 0)) <= x:
+                return True, False
+            continue
+        for axis in range(1, p + 1):
+            for delta in (1, -1):
+                q = step(v, axis, delta)
+                nc = cost + weight(EdgeId(v, axis) if delta > 0 else EdgeId(q, axis))
+                key = (t + 1, q)
+                if nc <= x and nc < best.get(key, inf):
+                    best[key] = nc
+                    heappush(heap, (nc, t + 1, q))
+    return False, False

@@ -23,7 +23,7 @@ def test_initial_singleton_counts():
         assert state.infected_count == 1
         assert state.perimeter_count == 2 * (d - 1)
         assert state.exit_candidate_count() == 1
-        assert state.infected == {(0,) * d}
+        assert {(0,) + c for c in state.coords} == {(0,) * d}
         assert state.perimeter_size_recomputed() == 2 * (d - 1)
 
 

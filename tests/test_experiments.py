@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fppslab.errors import DomainError, SamplerMismatch
 from fppslab.experiments import (
     ExperimentConfig,
+    _fast_path_exists,
     bootstrap_ci,
     concentration_curve,
     ks_statistic,
@@ -22,6 +25,8 @@ from fppslab.experiments import (
 )
 from fppslab.slab import point_to_hyperplane_time, slab_crossing_time
 from fppslab.weights import WeightModel, derive_seed
+
+from oracles import fast_path_exists_scalar
 
 
 def cfg(d=(5,), reps=200, seed=7, family="exp", a=1.0, **kw):
@@ -176,6 +181,18 @@ def test_search_cross_probe_reports():
         search_cross_probe(16, model, 0)
     with pytest.raises(DomainError):
         search_cross_probe(7, model, 10)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(d=st.sampled_from((8, 16, 32)), seed=st.integers(0, 2**64 - 1),
+       n_steps=st.integers(1, 3), budget=st.floats(0.1, 2.5),
+       node_cap=st.sampled_from((1, 2, 3, 8, 40, 1_000_000)))
+def test_fast_path_search_matches_scalar_oracle(d, seed, n_steps, budget, node_cap):
+    # budget scales the probe's x = 9 log(d) / (4 d); small caps hit the capped exit
+    m = WeightModel(family="exp", a=1.0, seed=seed)
+    x = budget * 9.0 * math.log(d) / (4.0 * d)
+    args = (m, d, d // 2, n_steps, x, node_cap)
+    assert _fast_path_exists(*args) == fast_path_exists_scalar(*args)
 
 
 def test_normalized_mean_drifts_toward_one():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fppslab.errors import DomainError, UnsupportedModel
 from fppslab.lattice import EdgeId
@@ -23,6 +25,8 @@ from oracles import table_quantile_bruteforce
 
 # table for F with an atom at x = 1.0 of mass 0.4 (quantile flat on (0.3, 0.7])
 JUMP_TABLE = ((0.0, 0.0), (0.3, 1.0), (0.7, 1.0), (1.0, 2.0))
+# two atoms: x = 0.3 carries mass 0.3 and x = 1.0 the mass 0.1
+ATOM_TABLE = ((0.0, 0.0), (0.3, 0.3), (0.6, 0.3), (0.9, 1.0))
 
 
 def test_quantile_uniform_is_identity_at_rate_one():
@@ -206,3 +210,31 @@ def test_model_validation():
         WeightModel(family="table", points=((0.1, 0.0), (1.0, 1.0)))  # must start at y=0
     with pytest.raises(DomainError):
         WeightModel(family="table", points=((0.0, 1.0), (0.5, 0.5)))  # x decreasing
+
+
+# small coordinates, and ones at or beyond the int64/uint64 edges, which the
+# key fold reduces mod 2^64 (two's complement for negatives)
+COORDS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**63 - 2, 2**64 + 2),
+    st.integers(-(2**64) - 2, -(2**63) + 2),
+    st.integers(-(2**80), 2**80),
+)
+
+
+@pytest.mark.parametrize(
+    "family, a, points",
+    [("exp", 1.3, None), ("uniform", 0.7, None), ("table", None, ATOM_TABLE)],
+)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), d=st.integers(2, 300), seed=st.integers(-(2**64), 2**65))
+def test_star_weights_match_edge_weight_bit_for_bit(family, a, points, data, d, seed):
+    m = WeightModel(family=family, a=a, points=points, seed=seed)
+    v = tuple(data.draw(st.lists(COORDS, min_size=d, max_size=d)))
+    axes = data.draw(st.lists(st.integers(0, d - 1), unique=True))
+    expected = []
+    for axis in axes:
+        below = v[:axis] + (v[axis] - 1,) + v[axis + 1:]
+        expected += [m.edge_weight(EdgeId(v, axis)), m.edge_weight(EdgeId(below, axis))]
+    got = m.star_weights(v, axes)
+    assert [w.hex() for w in got] == [w.hex() for w in expected]
