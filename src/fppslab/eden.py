@@ -28,10 +28,33 @@ Per-step bookkeeping is kept O(d) with small constants:
 Distinct vertices collide under the linear hash with probability ~2^-64
 per pair; ``validate=True`` recomputes everything from exact coordinates
 and would surface such an event (and any bookkeeping bug) immediately.
+
+``sample_slab_crossing``, ``dhar_step`` and ``ClusterState`` are the
+reference: one replicate, stepped in public, with coordinates kept for
+``validate=True``. ``race_values`` computes many replicates' values in a
+lockstep race whose numpy work per step is shared, and returns exactly
+the values the reference gives, bit for bit:
+
+* each replicate draws from its own ``DrawSource``, seeded as the
+  reference seeds it, and takes its draws in ``dhar_step``'s order (the
+  exponential, the edge choice, then the rejection draws), so every
+  variate it sees is the one the reference sees;
+* each replicate keeps its own key list, exact key set and S, and runs the
+  same perimeter-bound check and cluster-cap check after every step;
+* only the neighbor scan is shared: per lockstep step, one add of the
+  2(d-1) direction deltas to every stepping replicate's new key, one mask
+  and one gather from a presence filter that holds the keys of all live
+  replicates, each offset by a salt of its own. A hit counts only once the
+  replicate's own key set holds the unsalted neighbor key, so the filter,
+  its salts and its stale entries (keys of finished replicates, dropped at
+  the next rebuild) change how many lookups are made, never a count. The
+  one neighbor known to be infected, the vertex the new one was reached
+  from, is counted without a lookup, as the reference's lookup counts it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -84,14 +107,22 @@ def _dir_tables(d: int) -> _DirTables:
 class DrawSource:
     """Buffered uniform/exponential draws from one seeded generator.
 
-    Block-refilled so the per-draw cost is a list index; the stream of
-    variates is a pure function of the seed, independent of block size.
+    Uniforms and exponentials share the generator, each pulled in blocks of
+    ``BLOCK`` variates at the draw that first needs a new block, so the
+    interleaving of those pulls, and with it every variate, depends on
+    ``BLOCK``: its value 4096 is part of the determinism contract (with
+    1024, every one of 40 d = 50 samples changes). A block is turned into
+    Python floats ``_CHUNK`` at a time, which keeps the per-draw cost a list
+    index without converting variates a short race never uses.
     """
 
     BLOCK = 4096
+    _CHUNK = 256  # divides BLOCK, so blocks are pulled at the same draws
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
+        self._uni_block = self._exp_block = np.empty(0)
+        self._uni_pos = self._exp_pos = 0
         self._uni: list[float] = []
         self._ui = 0
         self._exp: list[float] = []
@@ -101,9 +132,16 @@ class DrawSource:
     def from_seed(cls, seed: int) -> "DrawSource":
         return cls(np.random.default_rng(seed))
 
+    def _chunk(self, block: np.ndarray, pos: int, pull) -> tuple[np.ndarray, int, list[float]]:
+        if pos == len(block):
+            block, pos = pull(self.BLOCK), 0
+        end = pos + self._CHUNK
+        return block, end, block[pos:end].tolist()
+
     def uniform(self) -> float:
         if self._ui == len(self._uni):
-            self._uni = self._rng.random(self.BLOCK).tolist()
+            self._uni_block, self._uni_pos, self._uni = self._chunk(
+                self._uni_block, self._uni_pos, self._rng.random)
             self._ui = 0
         u = self._uni[self._ui]
         self._ui += 1
@@ -111,7 +149,8 @@ class DrawSource:
 
     def exponential(self) -> float:
         if self._ei == len(self._exp):
-            self._exp = self._rng.standard_exponential(self.BLOCK).tolist()
+            self._exp_block, self._exp_pos, self._exp = self._chunk(
+                self._exp_block, self._exp_pos, self._rng.standard_exponential)
             self._ei = 0
         e = self._exp[self._ei]
         self._ei += 1
@@ -152,7 +191,7 @@ class ClusterState:
         self.filter_mask = np.uint64((1 << bits) - 1)
         if self.keys:
             idx = np.array(self.keys, dtype=np.uint64) & self.filter_mask
-            self.filter_[idx] = True
+            self.filter_[idx.view(np.int64)] = True
 
     @property
     def infected_count(self) -> int:
@@ -198,8 +237,7 @@ def initial_cluster(d: int, a: float = 1.0) -> ClusterState:
     return state
 
 
-def _check_perimeter_bounds(state: ClusterState) -> None:
-    d, i, S = state.dimension, len(state.coords), state.perimeter_count
+def _check_perimeter_bounds(d: int, i: int, S: int) -> None:
     if S > (2 * d - 1) * i:
         raise InvariantViolation(f"perimeter {S} above (2d-1)i = {(2 * d - 1) * i}")
     if d >= 4:
@@ -250,7 +288,8 @@ def dhar_step(state: ClusterState, source: DrawSource, *,
     cu = state.coords[u_idx]
     w = cu[:axis] + (cu[axis] + delta,) + cu[axis + 1 :]
     nbr_keys = np.uint64(wk) + tables.c_signed
-    maybe = state.filter_[nbr_keys & state.filter_mask]
+    # masked keys fit in int64, and an int64 index spares numpy a cast
+    maybe = state.filter_[(nbr_keys & state.filter_mask).view(np.int64)]
     k = 0
     for cand in nbr_keys[maybe].tolist():
         if cand in keyset:
@@ -272,7 +311,7 @@ def dhar_step(state: ClusterState, source: DrawSource, *,
             raise InvariantViolation(
                 f"incremental perimeter {state.perimeter_count} != recomputed {exact}"
             )
-    _check_perimeter_bounds(state)
+    _check_perimeter_bounds(state.dimension, len(keys), state.perimeter_count)
     return state, False
 
 
@@ -308,3 +347,159 @@ def sample_slab_crossing(d: int, a: float = 1.0,
             )
         if state.infected_count >= cluster_cap:
             raise BudgetExceeded(f"cluster grew past cap {cluster_cap} without exiting")
+
+
+_RACE_SLOTS = 32          # replicates advanced in lockstep
+_RACE_MIN_BITS = 16       # shared filter size floor: 65536 entries
+_RACE_LOAD_SHIFT = 6      # rebuild once the keys added since the last build exceed size / 64
+_SALT_STEP = 0x9E37_79B9_7F4A_7C15  # Weyl step: replicate r's keys are offset by (r + 1) * step
+
+
+class _Replicate:
+    """One replicate of the lockstep race: what ``dhar_step`` keeps of a
+    cluster except its coordinates, plus the replicate's filter salt."""
+
+    __slots__ = ("rep", "uniform", "exponential", "keys", "keyset", "perimeter",
+                 "elapsed", "salt", "new_key", "new_dir")
+
+    def __init__(self, rep: int, seed: int, n_dirs: int):
+        source = DrawSource.from_seed(seed)
+        self.rep = rep
+        self.uniform = source.uniform
+        self.exponential = source.exponential
+        self.keys = [0]
+        self.keyset = {0}
+        self.perimeter = n_dirs
+        self.elapsed = 0.0
+        self.salt = ((rep + 1) * _SALT_STEP) & U64
+        self.new_key = 0
+        self.new_dir = 0
+
+
+class _SaltedFilter:
+    """Presence filter over salted keys that may answer yes for an absent
+    key but never no for a present one.
+
+    A key sets two entries, one indexed by its low bits and one by its high
+    bits, and is reported present only when both are set. The race rebuilds
+    the table once more than size / 64 keys were added, so about 1/32 of
+    the entries at most are set, and an absent key passes with probability
+    about 1/1000 or less.
+    """
+
+    def __init__(self, live: list[_Replicate]):
+        n = sum(len(rp.keys) for rp in live)
+        bits = max(_RACE_MIN_BITS, ((2 * n) << _RACE_LOAD_SHIFT).bit_length())
+        self.table = np.zeros(1 << bits, dtype=bool)
+        self.mask = np.uint64((1 << bits) - 1)
+        self.high = np.uint64(64 - bits)
+        self.added = 0
+        if live:
+            self.add(np.concatenate(
+                [np.array(rp.keys, dtype=np.uint64) + np.uint64(rp.salt) for rp in live]))
+
+    def add(self, salted: np.ndarray) -> None:
+        # masked or shifted keys fit in int64, and an int64 index spares numpy a cast
+        self.table[(salted & self.mask).view(np.int64)] = True
+        self.table[(salted >> self.high).view(np.int64)] = True
+        self.added += len(salted)
+
+    def full(self) -> bool:
+        return (self.added << _RACE_LOAD_SHIFT) > len(self.table)
+
+    def hits(self, salted: np.ndarray, skip: list[int]) -> list[int]:
+        """Indices into ``salted``, other than ``skip``, of the keys that may be present."""
+        low = self.table[(salted & self.mask).view(np.int64)]
+        low[skip] = False
+        maybe = np.flatnonzero(low)
+        return maybe[self.table[(salted[maybe] >> self.high).view(np.int64)]].tolist()
+
+
+def race_values(d: int, a: float, seeds, *,
+                cluster_cap: int = DEFAULT_CLUSTER_CAP) -> np.ndarray:
+    """``[sample_slab_crossing(d, a, s, cluster_cap=cluster_cap).value for s in seeds]``,
+    bit for bit, as a float64 array.
+
+    Up to ``_RACE_SLOTS`` races advance in lockstep, and a finished slot
+    takes the next seed. See the module docstring for why every value is
+    the serial one. Raises ``BudgetExceeded`` when some replicate's cluster
+    reaches ``cluster_cap`` without exiting, as the serial loop does.
+    """
+    if d < 2:
+        raise DomainError(f"dimension must be >= 2, got {d}")
+    if not a > 0:
+        raise DomainError(f"rate must be positive, got {a}")
+    tables = _dir_tables(d)
+    m = tables.n_dirs
+    c_step = tables.c_step
+    c_signed = tables.c_signed
+    seeds = list(seeds)
+    out = np.empty(len(seeds), dtype=np.float64)
+    queue = iter(enumerate(seeds))
+    live: list[_Replicate | None] = [
+        _Replicate(rep, seed, m) for rep, seed in itertools.islice(queue, _RACE_SLOTS)]
+    filt = _SaltedFilter(live)
+
+    while live:
+        # per replicate, in dhar_step's draw order: exit, or pick the new vertex
+        for slot, rp in enumerate(live):
+            while True:
+                keys = rp.keys
+                i = len(keys)
+                total = i + rp.perimeter
+                rp.elapsed += rp.exponential() / (a * total)
+                j = int(rp.uniform() * total)
+                if j >= total:
+                    j = total - 1
+                if j < i:
+                    out[rp.rep] = rp.elapsed
+                    nxt = next(queue, None)
+                    rp = live[slot] = None if nxt is None else _Replicate(*nxt, m)
+                    if rp is None:
+                        break
+                    filt.add(np.array([rp.salt], dtype=np.uint64))
+                    continue
+                pairs = i * m
+                keyset = rp.keyset
+                uniform = rp.uniform
+                while True:
+                    t = int(uniform() * pairs)
+                    if t >= pairs:
+                        t = pairs - 1
+                    u_idx, dirn = divmod(t, m)
+                    wk = (keys[u_idx] + c_step[dirn]) & U64
+                    if wk not in keyset:
+                        break
+                rp.new_key = wk
+                rp.new_dir = dirn
+                break
+        live = [rp for rp in live if rp is not None]
+        if not live:
+            break
+
+        # shared: one gather for the neighbor keys of every new vertex. The
+        # neighbor back across the chosen direction is the infected vertex
+        # the new one was reached from (direction pairs sit at 2j, 2j + 1),
+        # so it is counted without a lookup.
+        salted = np.array([(rp.new_key + rp.salt) & U64 for rp in live], dtype=np.uint64)
+        came_from = [r * m + (rp.new_dir ^ 1) for r, rp in enumerate(live)]
+        infected_nbrs = [1] * len(live)
+        for hit in filt.hits((salted[:, None] + c_signed).ravel(), came_from):
+            r, c = divmod(hit, m)
+            rp = live[r]
+            if (rp.new_key + c_step[c]) & U64 in rp.keyset:
+                infected_nbrs[r] += 1
+        filt.add(salted)
+
+        for rp, k in zip(live, infected_nbrs):
+            rp.perimeter += m - 2 * k
+            rp.keys.append(rp.new_key)
+            rp.keyset.add(rp.new_key)
+            i = len(rp.keys)
+            _check_perimeter_bounds(d, i, rp.perimeter)
+            if i >= cluster_cap:
+                raise BudgetExceeded(f"cluster grew past cap {cluster_cap} without exiting")
+        if filt.full():
+            filt = None  # drop the old table before the new one is built
+            filt = _SaltedFilter(live)
+    return out

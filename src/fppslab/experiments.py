@@ -19,7 +19,7 @@ from math import inf
 
 import numpy as np
 
-from .eden import DEFAULT_CLUSTER_CAP, sample_slab_crossing
+from .eden import DEFAULT_CLUSTER_CAP, race_values
 from .errors import DomainError, SamplerMismatch
 from .lattice import EdgeId, Point, step
 from .slab import greedy_concatenation, point_to_hyperplane_time, slab_crossing_time
@@ -65,7 +65,12 @@ class SummaryStats:
 
 
 def sample_crossing_values(config: ExperimentConfig, sampler: str, d: int) -> np.ndarray:
-    """Independent slab-crossing samples at dimension d, one per replicate."""
+    """Independent slab-crossing samples at dimension d, one per replicate.
+
+    Replicate ``rep`` uses the seed ``derive_seed(root_seed, d, rep)``. The
+    eden sampler runs all replicates through the lockstep race
+    ``race_values``, whose values equal ``sample_slab_crossing``'s bit for bit.
+    """
     if sampler not in SAMPLERS:
         raise DomainError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
     model = config.model
@@ -75,19 +80,15 @@ def sample_crossing_values(config: ExperimentConfig, sampler: str, d: int) -> np
                 "the cluster-race sampler is exact only for exponential weights; "
                 f"got family {model.family!r}"
             )
-        a = model.a
+        seeds = [derive_seed(config.root_seed, d, rep) for rep in range(config.replicates)]
+        return race_values(d, model.a, seeds, cluster_cap=config.budget_cap)
 
-        def one(rep: int) -> float:
-            seed = derive_seed(config.root_seed, d, rep)
-            return sample_slab_crossing(d, a, seed, cluster_cap=config.budget_cap).value
+    origin = (0,) * d
 
-    else:
-        origin = (0,) * d
-
-        def one(rep: int) -> float:
-            seeded = model.with_seed(derive_seed(config.root_seed, d, rep))
-            return slab_crossing_time(seeded, origin, 0,
-                                      settled_cap=config.budget_cap).value
+    def one(rep: int) -> float:
+        seeded = model.with_seed(derive_seed(config.root_seed, d, rep))
+        return slab_crossing_time(seeded, origin, 0,
+                                  settled_cap=config.budget_cap).value
 
     return np.array([one(rep) for rep in range(config.replicates)], dtype=np.float64)
 

@@ -3,9 +3,10 @@
 These deliberately share no code with the package internals they verify:
 the slab oracle is a dense Bellman-Ford relaxation on an explicit truncated
 graph, the quantile oracle reconstructs the forward CDF from tabulated
-inverse pairs on a dense grid and scans for the infimum, and the
+inverse pairs on a dense grid and scans for the infimum, the
 cheap-detour oracle is the probe's search with one scalar ``edge_weight``
-call per edge.
+call per edge, and the draw-source oracle turns each whole block of
+variates into a list at once.
 """
 
 from __future__ import annotations
@@ -115,3 +116,33 @@ def fast_path_exists_scalar(model, d: int, p: int, n_steps: int, x: float,
                     best[key] = nc
                     heappush(heap, (nc, t + 1, q))
     return False, False
+
+
+class DrawSourceReference:
+    """Uniform and exponential draws from one generator, each stream pulled
+    in whole blocks of 4096 variates that are turned into lists at once."""
+
+    BLOCK = 4096
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._uni: list[float] = []
+        self._ui = 0
+        self._exp: list[float] = []
+        self._ei = 0
+
+    def uniform(self) -> float:
+        if self._ui == len(self._uni):
+            self._uni = self._rng.random(self.BLOCK).tolist()
+            self._ui = 0
+        u = self._uni[self._ui]
+        self._ui += 1
+        return u
+
+    def exponential(self) -> float:
+        if self._ei == len(self._exp):
+            self._exp = self._rng.standard_exponential(self.BLOCK).tolist()
+            self._ei = 0
+        e = self._exp[self._ei]
+        self._ei += 1
+        return e

@@ -4,17 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fppslab.bounds import first_moment_ub, perimeter_lower_bound
 from fppslab.eden import (
     DrawSource,
     dhar_step,
     initial_cluster,
+    race_values,
     sample_slab_crossing,
 )
 from fppslab.errors import BudgetExceeded, DomainError
 from fppslab.lattice import hyperplane_index
 from fppslab.weights import derive_seed
+from oracles import DrawSourceReference
 
 
 def test_initial_singleton_counts():
@@ -156,3 +160,81 @@ def test_normalized_variance_shrinks_with_dimension():
         scale = 2.0 * d / math.log(d)
         out[d] = float(np.var(vals * scale, ddof=1))
     assert out[100] < out[20]
+
+
+# (d, a, seed) -> value.hex(), recorded from the list-based DrawSource with
+# BLOCK = 4096; (200, 1.0, 56) draws past one uniform block, (1000, 1.0, 30)
+# past one block of each stream
+GOLDEN = {
+    (2, 1.0, 1): "0x1.bd397e0645816p-2",
+    (3, 0.5, 2): "0x1.4b55f5db6eb51p-1",
+    (5, 1.0, 12345): "0x1.1d55de3ced1b2p-2",
+    (12, 3.0, 4): "0x1.bed222c9fdba2p-4",
+    (50, 1.0, 7): "0x1.691dfb61a2aa7p-5",
+    (200, 1.0, 11): "0x1.94bb46395d398p-7",
+    (200, 1.0, 56): "0x1.a04222fed0b1fp-6",
+    (1000, 1.0, 3): "0x1.c3245472e7bafp-9",
+    (1000, 1.0, 30): "0x1.23250ba3e998ep-8",
+}
+
+
+def test_golden_values_fix_the_draw_stream():
+    for (d, a, seed), want in GOLDEN.items():
+        assert sample_slab_crossing(d, a, seed).value.hex() == want, (d, a, seed)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       runs=st.lists(st.tuples(st.booleans(), st.integers(1, 5000)), max_size=12))
+def test_draw_source_matches_reference_stream(seed, runs):
+    fast = DrawSource.from_seed(seed)
+    ref = DrawSourceReference(np.random.default_rng(seed))
+    block = DrawSource.BLOCK
+    # end with runs that take each stream past its third block
+    runs = runs + [(True, 3 * block + 1), (False, 3 * block + 7), (True, 2)]
+    for is_uniform, count in runs:
+        for _ in range(count):
+            if is_uniform:
+                got, want = fast.uniform(), ref.uniform()
+            else:
+                got, want = fast.exponential(), ref.exponential()
+            assert got.hex() == want.hex()
+
+
+def _serial_values(d, a, seeds, cluster_cap):
+    return [sample_slab_crossing(d, a, s, cluster_cap=cluster_cap).value for s in seeds]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(d=st.integers(2, 60), a=st.sampled_from([0.5, 1.0, 3.0]),
+       root=st.integers(0, 2**31), n=st.integers(0, 100))
+@example(d=200, a=1.0, root=7, n=70)
+def test_race_values_match_serial_sampler(d, a, root, n):
+    seeds = [derive_seed(root, d, rep) for rep in range(n)]
+    got = race_values(d, a, seeds, cluster_cap=10**6)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    want = _serial_values(d, a, seeds, 10**6)
+    assert [float(v).hex() for v in got] == [v.hex() for v in want]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(d=st.integers(2, 12), a=st.sampled_from([0.5, 1.0, 3.0]),
+       root=st.integers(0, 2**31), n=st.integers(1, 40), cap=st.integers(1, 30))
+def test_race_cap_raises_exactly_when_a_serial_replicate_does(d, a, root, n, cap):
+    seeds = [derive_seed(root, d, rep) for rep in range(n)]
+    try:
+        want = _serial_values(d, a, seeds, cap)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            race_values(d, a, seeds, cluster_cap=cap)
+    else:
+        got = race_values(d, a, seeds, cluster_cap=cap)
+        assert [float(v).hex() for v in got] == [v.hex() for v in want]
+
+
+def test_race_rejects_bad_domain():
+    for d, a in ((1, 1.0), (0, 1.0), (5, 0.0), (5, -1.0), (5, math.nan)):
+        with pytest.raises(DomainError):
+            race_values(d, a, [1, 2, 3])
+        with pytest.raises(DomainError):
+            sample_slab_crossing(d, a, 1)
