@@ -275,8 +275,9 @@ _REQUIRED = {
 }
 
 
-def build_parser(suppress_defaults: bool = False) -> tuple[argparse.ArgumentParser, dict]:
-    """Parser for all subcommands.
+def build_parser(suppress_defaults: bool = False) -> tuple[argparse.ArgumentParser, dict, dict]:
+    """Parser for all subcommands, each command's handler, and each
+    command's option actions by destination name.
 
     With ``suppress_defaults`` every option defaults to argparse.SUPPRESS,
     so a parse yields only what the user actually typed; main() merges that
@@ -288,10 +289,12 @@ def build_parser(suppress_defaults: bool = False) -> tuple[argparse.ArgumentPars
     )
     sub = parser.add_subparsers(dest="command", required=True)
     handlers: dict = {}
+    actions: dict = {}
 
     def arg(sp, *names, default=None, **kw):
         kw["default"] = argparse.SUPPRESS if suppress_defaults else default
-        sp.add_argument(*names, **kw)
+        action = sp.add_argument(*names, **kw)
+        actions.setdefault(sp, {})[action.dest] = action
 
     def add_common(sp, *, model=True, experiment=True) -> None:
         arg(sp, "--out", help="output file path")
@@ -349,10 +352,22 @@ def build_parser(suppress_defaults: bool = False) -> tuple[argparse.ArgumentPars
     arg(sp, "--grid", type=int, default=200)
     handlers["couple-check"] = _cmd_couple_check
 
-    return parser, handlers
+    return parser, handlers, {name: actions[sp] for name, sp in sub.choices.items()}
 
 
-def _load_config_file(path: str, known: set) -> dict:
+# JSON types a config value may have, by the option's argparse ``type``
+_CONFIG_TYPES = {int: int, float: (int, float), None: str}
+
+
+def _config_value_ok(action: argparse.Action, value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[action.type]):
+        return False
+    return action.choices is None or value in action.choices
+
+
+def _load_config_file(path: str, actions: dict) -> dict:
+    """The config file's values, each checked against the type and choices
+    of the option it stands for, as argparse checks a flag's value."""
     try:
         with open(path) as f:
             cfg = json.load(f)
@@ -362,26 +377,32 @@ def _load_config_file(path: str, known: set) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(cfg) - known
+    unknown = set(cfg) - (set(actions) - {"config"})
     if unknown:
         raise ConfigError(f"config keys not accepted here: {sorted(unknown)}")
     if isinstance(cfg.get("d"), int):
         cfg["d"] = [cfg["d"]]
+    for key, value in cfg.items():
+        if key == "points":  # a JSON list here; _model_from_args checks it
+            continue
+        action = actions[key]
+        values = value if key == "d" and isinstance(value, list) else [value]
+        if not all(_config_value_ok(action, v) for v in values):
+            raise ConfigError(f"config value {value!r} is not valid for {action.option_strings[0]}")
     return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        explicit_parser, handlers = build_parser(suppress_defaults=True)
+        explicit_parser, handlers, _ = build_parser(suppress_defaults=True)
         explicit = vars(explicit_parser.parse_args(argv))
         command = explicit["command"]
 
-        default_parser, _ = build_parser()
+        default_parser, _, actions = build_parser()
         merged = vars(default_parser.parse_args([command]))
         if "config" in explicit:
-            known = set(merged) - {"command", "config"}
-            merged.update(_load_config_file(explicit["config"], known))
+            merged.update(_load_config_file(explicit["config"], actions[command]))
         merged.update(explicit)
 
         missing = [k for k in _REQUIRED[command] if merged.get(k) is None]

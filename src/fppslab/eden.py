@@ -20,10 +20,9 @@ Per-step bookkeeping is kept O(d) with small constants:
   pairs are uniform over perimeter edges. Acceptance probability is
   S / (2(d-1) i) >= i^(-1/(d-1)), close to 1 in high dimension;
 * S is updated from the count k of already-infected neighbors of the new
-  vertex: S' = S + 2(d-1) - 2k. The neighbor scan gathers a boolean
-  presence filter (indexed by the low key bits) for all neighbor keys in
-  one vectorized load and verifies the few hits against the exact key set,
-  so false positives in the filter cost a lookup but never an error.
+  vertex: S' = S + 2(d-1) - 2k. The reference counts k by definition, as
+  the size of the intersection of the 2(d-1) neighbor keys with the exact
+  key set.
 
 Distinct vertices collide under the linear hash with probability ~2^-64
 per pair; ``validate=True`` recomputes everything from exact coordinates
@@ -41,15 +40,17 @@ the values the reference gives, bit for bit:
   variate it sees is the one the reference sees;
 * each replicate keeps its own key list, exact key set and S, and runs the
   same perimeter-bound check and cluster-cap check after every step;
-* only the neighbor scan is shared: per lockstep step, one add of the
+* only the neighbor scan is shared, and it is the one place in this
+  module that uses a presence filter: per lockstep step, one add of the
   2(d-1) direction deltas to every stepping replicate's new key, one mask
-  and one gather from a presence filter that holds the keys of all live
+  and one gather from a filter that holds the keys of all live
   replicates, each offset by a salt of its own. A hit counts only once the
   replicate's own key set holds the unsalted neighbor key, so the filter,
   its salts and its stale entries (keys of finished replicates, dropped at
   the next rebuild) change how many lookups are made, never a count. The
   one neighbor known to be infected, the vertex the new one was reached
-  from, is counted without a lookup, as the reference's lookup counts it.
+  from, is counted without a lookup, as the reference's exact count
+  includes it.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, InvariantViolation
-from .lattice import EdgeId, Point
+from .lattice import EdgeId, Point, step
 from .slab import PassageSample
 from .weights import U64, fold64
 
@@ -71,10 +72,12 @@ _KEY_SALT = 0x1B87_3F5C_9D2E_A641  # fixed: cluster keys must not depend on run 
 
 
 class _DirTables(NamedTuple):
-    n_dirs: int                     # 2(d-1)
-    c_step: list[int]               # key delta per direction, python ints mod 2^64
-    c_signed: np.ndarray            # same deltas as uint64 vector
-    offsets: list[tuple[int, int]]  # (in-plane axis, +-1) per direction
+    """Key deltas per direction: direction 2j steps +1 along in-plane axis
+    j, direction 2j + 1 steps -1."""
+
+    n_dirs: int            # 2(d-1)
+    c_step: list[int]      # key delta per direction, python ints mod 2^64
+    c_signed: np.ndarray   # same deltas as uint64 vector
 
 
 _TABLES: dict[int, _DirTables] = {}
@@ -87,18 +90,11 @@ def _dir_tables(d: int) -> _DirTables:
         for j in range(d - 1):
             c = fold64(_KEY_SALT, (d, j))
             coef.append(c if c else 1)
-        c_step: list[int] = []
-        offsets: list[tuple[int, int]] = []
-        for j, c in enumerate(coef):
-            c_step.append(c)
-            offsets.append((j, 1))
-            c_step.append((-c) & U64)
-            offsets.append((j, -1))
+        c_step = [delta for c in coef for delta in (c, (-c) & U64)]
         tables = _DirTables(
             n_dirs=2 * (d - 1),
             c_step=c_step,
             c_signed=np.array(c_step, dtype=np.uint64),
-            offsets=offsets,
         )
         _TABLES[d] = tables
     return tables
@@ -107,58 +103,43 @@ def _dir_tables(d: int) -> _DirTables:
 class DrawSource:
     """Buffered uniform/exponential draws from one seeded generator.
 
-    Uniforms and exponentials share the generator, each pulled in blocks of
-    ``BLOCK`` variates at the draw that first needs a new block, so the
+    Each stream is a generator that pulls ``BLOCK`` variates from the shared
+    numpy generator at the draw that first needs a new block, so the
     interleaving of those pulls, and with it every variate, depends on
     ``BLOCK``: its value 4096 is part of the determinism contract (with
     1024, every one of 40 d = 50 samples changes). A block is turned into
-    Python floats ``_CHUNK`` at a time, which keeps the per-draw cost a list
-    index without converting variates a short race never uses.
+    Python floats ``_CHUNK`` at a time, which keeps the per-draw cost one
+    generator step without converting variates a short race never uses.
+    The reference race, which counts neighbors by exact key-set lookup, and
+    the lockstep race, the only one with a presence filter, take their
+    draws from it in the same order, so no filter can touch the stream.
     """
 
     BLOCK = 4096
     _CHUNK = 256  # divides BLOCK, so blocks are pulled at the same draws
 
     def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._uni_block = self._exp_block = np.empty(0)
-        self._uni_pos = self._exp_pos = 0
-        self._uni: list[float] = []
-        self._ui = 0
-        self._exp: list[float] = []
-        self._ei = 0
+        self._uni = self._stream(rng.random)
+        self._exp = self._stream(rng.standard_exponential)
 
     @classmethod
     def from_seed(cls, seed: int) -> "DrawSource":
         return cls(np.random.default_rng(seed))
 
-    def _chunk(self, block: np.ndarray, pos: int, pull) -> tuple[np.ndarray, int, list[float]]:
-        if pos == len(block):
-            block, pos = pull(self.BLOCK), 0
-        end = pos + self._CHUNK
-        return block, end, block[pos:end].tolist()
+    # a classmethod: a generator holding the instance would form a cycle, and
+    # finished sources and their blocks would wait for the cyclic collector
+    @classmethod
+    def _stream(cls, pull):
+        while True:
+            block = pull(cls.BLOCK)
+            for pos in range(0, cls.BLOCK, cls._CHUNK):
+                yield from block[pos:pos + cls._CHUNK].tolist()
 
     def uniform(self) -> float:
-        if self._ui == len(self._uni):
-            self._uni_block, self._uni_pos, self._uni = self._chunk(
-                self._uni_block, self._uni_pos, self._rng.random)
-            self._ui = 0
-        u = self._uni[self._ui]
-        self._ui += 1
-        return u
+        return next(self._uni)
 
     def exponential(self) -> float:
-        if self._ei == len(self._exp):
-            self._exp_block, self._exp_pos, self._exp = self._chunk(
-                self._exp_block, self._exp_pos, self._rng.standard_exponential)
-            self._ei = 0
-        e = self._exp[self._ei]
-        self._ei += 1
-        return e
-
-
-_FILTER_MIN_BITS = 13   # 8192 slots
-_FILTER_LOAD_SHIFT = 8  # grow once occupancy exceeds size / 256
+        return next(self._exp)
 
 
 @dataclass
@@ -168,9 +149,9 @@ class ClusterState:
     ``coords`` holds the in-plane coordinates (axes 2..d of the lattice) of
     infected vertices in infection order; the start hyperplane coordinate is
     implicitly 0. ``perimeter_count`` is S, maintained incrementally and
-    recomputable from scratch via ``perimeter_size_recomputed``. ``filter_``
-    is the presence prefilter over low key bits; membership is always
-    confirmed against ``keyset``.
+    recomputable from scratch via ``perimeter_size_recomputed``. ``keys``
+    lists the vertex keys in infection order, and ``keyset`` holds the same
+    keys for exact membership.
     """
 
     dimension: int
@@ -182,16 +163,6 @@ class ClusterState:
     elapsed: float = 0.0
     exited: bool = False
     exit_vertex: Point | None = None
-    filter_: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-    filter_mask: np.uint64 = np.uint64(0)
-
-    def _grow_filter(self) -> None:
-        bits = max(_FILTER_MIN_BITS, (len(self.coords) << _FILTER_LOAD_SHIFT).bit_length())
-        self.filter_ = np.zeros(1 << bits, dtype=bool)
-        self.filter_mask = np.uint64((1 << bits) - 1)
-        if self.keys:
-            idx = np.array(self.keys, dtype=np.uint64) & self.filter_mask
-            self.filter_[idx.view(np.int64)] = True
 
     @property
     def infected_count(self) -> int:
@@ -219,13 +190,17 @@ class ClusterState:
         return len(self.coords)
 
 
-def initial_cluster(d: int, a: float = 1.0) -> ClusterState:
-    """Singleton cluster at the origin: i = 1, S = 2(d-1)."""
+def _check_domain(d: int, a: float) -> None:
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
     if not a > 0:
         raise DomainError(f"rate must be positive, got {a}")
-    state = ClusterState(
+
+
+def initial_cluster(d: int, a: float = 1.0) -> ClusterState:
+    """Singleton cluster at the origin: i = 1, S = 2(d-1)."""
+    _check_domain(d, a)
+    return ClusterState(
         dimension=d,
         rate=a,
         coords=[(0,) * (d - 1)],
@@ -233,8 +208,6 @@ def initial_cluster(d: int, a: float = 1.0) -> ClusterState:
         keyset={0},
         perimeter_count=2 * (d - 1),
     )
-    state._grow_filter()
-    return state
 
 
 def _check_perimeter_bounds(d: int, i: int, S: int) -> None:
@@ -284,24 +257,12 @@ def dhar_step(state: ClusterState, source: DrawSource, *,
         if wk not in keyset:
             break
 
-    axis, delta = tables.offsets[dirn]
-    cu = state.coords[u_idx]
-    w = cu[:axis] + (cu[axis] + delta,) + cu[axis + 1 :]
-    nbr_keys = np.uint64(wk) + tables.c_signed
-    # masked keys fit in int64, and an int64 index spares numpy a cast
-    maybe = state.filter_[(nbr_keys & state.filter_mask).view(np.int64)]
-    k = 0
-    for cand in nbr_keys[maybe].tolist():
-        if cand in keyset:
-            k += 1
-
+    # k: the infected neighbors of the new vertex, the one it was reached from included
+    k = len(keyset.intersection((np.uint64(wk) + tables.c_signed).tolist()))
     state.perimeter_count += m - 2 * k
-    state.coords.append(w)
+    state.coords.append(step(state.coords[u_idx], dirn >> 1, 1 - 2 * (dirn & 1)))
     keys.append(wk)
     keyset.add(wk)
-    state.filter_[int(wk) & int(state.filter_mask)] = True
-    if (len(keys) << _FILTER_LOAD_SHIFT) > len(state.filter_):
-        state._grow_filter()
 
     if validate:
         if len(keyset) != len(state.coords) or len(set(state.coords)) != len(state.coords):
@@ -315,26 +276,16 @@ def dhar_step(state: ClusterState, source: DrawSource, *,
     return state, False
 
 
-def sample_slab_crossing(d: int, a: float = 1.0,
-                         rng: int | np.random.Generator | DrawSource = 0, *,
+def sample_slab_crossing(d: int, a: float = 1.0, seed: int = 0, *,
                          cluster_cap: int = DEFAULT_CLUSTER_CAP,
                          validate: bool = False) -> PassageSample:
     """Sample one slab crossing time by running the race to its first exit.
 
     Distributionally equal to ``slab_crossing_time`` under Exponential(a)
-    weights. ``rng`` may be a seed, a numpy Generator, or a DrawSource;
-    the reported ``seed_used`` is only known when a seed is given.
+    weights. The draws come from ``DrawSource.from_seed(seed)``.
     """
-    seed_used: int | None = None
-    if isinstance(rng, DrawSource):
-        source = rng
-    elif isinstance(rng, np.random.Generator):
-        source = DrawSource(rng)
-    else:
-        seed_used = int(rng)
-        source = DrawSource.from_seed(seed_used)
-
     state = initial_cluster(d, a)
+    source = DrawSource.from_seed(seed)
     while True:
         _, exited = dhar_step(state, source, validate=validate)
         if exited:
@@ -343,7 +294,7 @@ def sample_slab_crossing(d: int, a: float = 1.0,
                 exit_vertex=state.exit_vertex,
                 settled_count=state.infected_count,
                 dimension=d,
-                seed_used=seed_used,
+                seed_used=seed,
             )
         if state.infected_count >= cluster_cap:
             raise BudgetExceeded(f"cluster grew past cap {cluster_cap} without exiting")
@@ -425,10 +376,7 @@ def race_values(d: int, a: float, seeds, *,
     the serial one. Raises ``BudgetExceeded`` when some replicate's cluster
     reaches ``cluster_cap`` without exiting, as the serial loop does.
     """
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-    if not a > 0:
-        raise DomainError(f"rate must be positive, got {a}")
+    _check_domain(d, a)
     tables = _dir_tables(d)
     m = tables.n_dirs
     c_step = tables.c_step

@@ -45,6 +45,8 @@ class ExperimentConfig:
             raise DomainError("d_grid must not be empty")
         if any(d < 2 for d in self.d_grid):
             raise DomainError(f"all dimensions must be >= 2, got {self.d_grid}")
+        if self.budget_cap < 1:
+            raise DomainError(f"budget_cap must be >= 1, got {self.budget_cap}")
         object.__setattr__(self, "d_grid", tuple(int(d) for d in self.d_grid))
 
 
@@ -149,21 +151,6 @@ def ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
     fx = np.searchsorted(x, grid, side="right") / len(x)
     fy = np.searchsorted(y, grid, side="right") / len(y)
     return float(np.max(np.abs(fx - fy)))
-
-
-def bootstrap_ci(values: np.ndarray, statistic, *, n_boot: int = 1000,
-                 seed: int = 0, alpha: float = 0.05) -> tuple[float, float]:
-    """Percentile bootstrap interval for ``statistic`` of an i.i.d. sample."""
-    values = np.asarray(values)
-    if len(values) < 2:
-        raise DomainError("bootstrap needs at least two observations")
-    rng = np.random.default_rng(seed)
-    stats = np.empty(n_boot)
-    n = len(values)
-    for b in range(n_boot):
-        stats[b] = statistic(values[rng.integers(0, n, size=n)])
-    lo, hi = np.quantile(stats, [alpha / 2, 1 - alpha / 2])
-    return float(lo), float(hi)
 
 
 # -- concentration and uniform integrability ---------------------------------

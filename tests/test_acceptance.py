@@ -23,7 +23,6 @@ from fppslab.bounds import (
 from fppslab.cli import main as cli_main
 from fppslab.experiments import (
     ExperimentConfig,
-    bootstrap_ci,
     ks_statistic,
     normalized_values,
     sample_crossing_values,
@@ -34,6 +33,7 @@ from fppslab.experiments import (
 from fppslab.slab import slab_crossing_time
 from fppslab.weights import CoupledWeights, CouplingMap, WeightModel
 
+from helpers import bootstrap_ci
 from oracles import slab_value_bruteforce
 
 EXP1 = WeightModel(family="exp", a=1.0, seed=0)

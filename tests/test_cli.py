@@ -153,6 +153,33 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("config", [
+    {"d": [5], "reps": "10"},
+    {"d": ["5"]},
+    {"seed": 1.5, "d": [5]},
+    {"format": "xml"},
+    {"mode": "bogus"},
+])
+def test_config_file_bad_value_exits_2_writes_nothing(tmp_path, capsys, config):
+    # each value fails the type or choices check its flag would fail
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    code = run(["sample-eden", "--config", str(cfg_path), "--d", "5", "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_budget_cap_below_one_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = run(["sample-slab", "--d", "3", "--reps", "2", "--budget-cap", "0",
+                "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "DomainError"
+    assert not out.exists()
+
+
 def test_couple_check_exponential_identity(tmp_path, capsys):
     out = tmp_path / "c.json"
     code = run(["couple-check", "--family", "exp", "--a", "1.0",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def test_frozen_state_rejects_more_steps():
 
 
 def test_bookkeeping_matches_recomputation_along_trajectory():
-    for d in (2, 3, 4, 6):
+    for d in (2, 3, 4, 6, 20, 50):
         state = initial_cluster(d)
         src = DrawSource.from_seed(derive_seed(33, d))
         for _ in range(200):
@@ -199,6 +200,17 @@ def test_draw_source_matches_reference_stream(seed, runs):
             else:
                 got, want = fast.exponential(), ref.exponential()
             assert got.hex() == want.hex()
+
+
+def test_draw_source_is_freed_by_reference_counting():
+    # a reference cycle through the stream generators would keep every
+    # finished source and its blocks alive until the cyclic collector runs
+    src = DrawSource.from_seed(5)
+    src.uniform()
+    src.exponential()
+    ref = weakref.ref(src)
+    del src
+    assert ref() is None
 
 
 def _serial_values(d, a, seeds, cluster_cap):

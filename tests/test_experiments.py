@@ -11,7 +11,6 @@ from fppslab.errors import DomainError, SamplerMismatch
 from fppslab.experiments import (
     ExperimentConfig,
     _fast_path_exists,
-    bootstrap_ci,
     concentration_curve,
     ks_statistic,
     normalized_values,
@@ -26,6 +25,7 @@ from fppslab.experiments import (
 from fppslab.slab import point_to_hyperplane_time, slab_crossing_time
 from fppslab.weights import WeightModel, derive_seed
 
+from helpers import bootstrap_ci
 from oracles import fast_path_exists_scalar
 
 
@@ -46,6 +46,8 @@ def test_config_validation():
         cfg(d=(1,))
     with pytest.raises(DomainError):
         cfg(d=())
+    with pytest.raises(DomainError):
+        cfg(budget_cap=0)
 
 
 def test_run_is_deterministic_and_thread_invariant():
