@@ -26,7 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+# scipy.integrate loads on first use, so importing the CLI does not pay for
+# it; fppbench reads scipy's version from sys.modules
+import scipy
 
 from .errors import DomainError, QuadratureFailure
 
@@ -230,16 +232,17 @@ class IntegralParts:
     outer_beyond: float
 
 
-def integral_decomposition(d: int, rtol: float = 1e-8) -> IntegralParts:
+def integral_decomposition(d: int) -> IntegralParts:
     """Adaptive quadrature of the three pieces of the double integral
 
         2 * Int_2^inf (1/s_x) Int_{x-1}^inf A^(y-1)/s_y dy dx
 
     split at x, y = 2d. Raises QuadratureFailure if the reported error
-    estimates exceed the requested relative tolerance.
+    estimates exceed ten times the relative tolerance 1e-8.
     """
     if d < 3:
         raise DomainError(f"dimension must be >= 3, got {d}")
+    rtol = 1e-8
     beta = (d - 2.0) / (d - 1.0)
     two_d1 = 2.0 * (d - 1.0)
     log_decay = math.log1p(-1.0 / (2.0 * d))
@@ -251,7 +254,8 @@ def integral_decomposition(d: int, rtol: float = 1e-8) -> IntegralParts:
         return math.exp((y - 1.0) * log_decay) * inv_s(y)
 
     def inner(lo: float, hi: float) -> tuple[float, float]:
-        val, err = integrate.quad(g, lo, hi, epsabs=0.0, epsrel=rtol * 1e-2, limit=200)
+        val, err = scipy.integrate.quad(g, lo, hi, epsabs=0.0, epsrel=rtol * 1e-2,
+                                        limit=200)
         return val, err
 
     failures: list[str] = []
@@ -274,15 +278,16 @@ def integral_decomposition(d: int, rtol: float = 1e-8) -> IntegralParts:
         val, _ = inner(x - 1.0, math.inf)
         return inv_s(x) * val
 
-    v1, e1 = integrate.quad(outer_below_integrand, 2.0, cut + 1.0,
-                            epsabs=0.0, epsrel=rtol, limit=200)
+    v1, e1 = scipy.integrate.quad(outer_below_integrand, 2.0, cut + 1.0,
+                                  epsabs=0.0, epsrel=rtol, limit=200)
     both_below = 2.0 * checked(v1, e1, "both below")
 
-    v2, e2 = integrate.quad(inv_s, 2.0, cut + 1.0, epsabs=0.0, epsrel=rtol, limit=200)
+    v2, e2 = scipy.integrate.quad(inv_s, 2.0, cut + 1.0,
+                                  epsabs=0.0, epsrel=rtol, limit=200)
     inner_beyond = 2.0 * checked(v2, e2, "outer factor") * inner_tail
 
-    v3, e3 = integrate.quad(outer_beyond_integrand, cut + 1.0, math.inf,
-                            epsabs=0.0, epsrel=rtol, limit=200)
+    v3, e3 = scipy.integrate.quad(outer_beyond_integrand, cut + 1.0, math.inf,
+                                  epsabs=0.0, epsrel=rtol, limit=200)
     outer_beyond = 2.0 * checked(v3, e3, "outer beyond")
 
     if failures:

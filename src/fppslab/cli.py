@@ -22,7 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .bounds import bound_report, default_truncation
+from .bounds import bound_report
 from .errors import (
     ConfigError,
     DomainError,
@@ -60,8 +60,10 @@ def _render_csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_json(command: str, params: dict, header: list[str], rows: list[list]) -> str:
+def _render_json(command: str, params: dict, header: list[str], rows: list[list],
+                 extra: dict) -> str:
     payload = {
+        **extra,
         "command": command,
         "params": params,
         "rows": [dict(zip(header, row)) for row in rows],
@@ -103,13 +105,16 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(args, command: str, params: dict, header: list[str], rows: list[list]) -> None:
+def _emit(args, command: str, params: dict, header: list[str], rows: list[list], *,
+          extra: dict | None = None, summary: str | None = None) -> None:
+    """Write the result file and print its one-line summary; ``extra`` adds
+    top-level keys to the JSON form."""
     if args.format == "json":
-        text = _render_json(command, params, header, rows)
+        text = _render_json(command, params, header, rows, extra or {})
     else:
         text = _render_csv(header, rows)
     _atomic_write(args.out, text)
-    print(f"{command}: wrote {len(rows)} row(s) to {args.out}")
+    print(summary or f"{command}: wrote {len(rows)} row(s) to {args.out}")
 
 
 def _model_from_args(args) -> WeightModel:
@@ -120,7 +125,9 @@ def _model_from_args(args) -> WeightModel:
             points = tuple((float(y), float(x)) for y, x in raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad table points: {exc}")
-    return WeightModel(family=args.family, a=args.a, points=points, seed=args.seed)
+    # couple-check takes no --seed: its table draws no weights
+    return WeightModel(family=args.family, a=args.a, points=points,
+                       seed=getattr(args, "seed", 0))
 
 
 def _experiment_config(args, model: WeightModel) -> ExperimentConfig:
@@ -128,7 +135,6 @@ def _experiment_config(args, model: WeightModel) -> ExperimentConfig:
         d_grid=tuple(args.d),
         model=model,
         replicates=args.reps,
-        root_seed=args.seed,
         budget_cap=args.budget_cap,
     )
 
@@ -153,8 +159,7 @@ def _cmd_bounds(args) -> None:
               "ratio1", "ratio2", "asymptote"]
     rows = []
     for d in args.d:
-        n = args.N if args.N is not None else default_truncation(d)
-        r = bound_report(d, args.a, n)
+        r = bound_report(d, args.a, args.N)
         rows.append([r.d, r.a, r.truncation_n, r.ub1, r.ub1_tail, r.ub2,
                      r.ub2_tail, r.ratio1, r.ratio2, r.asymptote])
     _emit(args, "bounds", {"d": args.d, "a": args.a, "N": args.N}, header, rows)
@@ -175,7 +180,7 @@ def _cmd_sample(args, sampler: str) -> None:
     for d in cfg.d_grid:
         values = sample_crossing_values(cfg, sampler, d)
         for rep, v in enumerate(values):
-            rows.append([d, rep, derive_seed(cfg.root_seed, d, rep), float(v)])
+            rows.append([d, rep, derive_seed(model.seed, d, rep), float(v)])
     _emit(args, f"sample-{sampler}", params, header, rows)
 
 
@@ -212,7 +217,7 @@ def _cmd_search_cross(args) -> None:
               "fj_wilson_lo", "fj_wilson_hi", "target_rate", "capped_replicates"]
     rows = []
     for d in args.d:
-        r = search_cross_probe(d, model, args.reps)
+        r = search_cross_probe(d, model, args.reps, node_cap=args.budget_cap)
         rows.append([r.d, r.subspace_dim, r.path_steps, r.x_threshold,
                      r.y_threshold, r.replicates, r.p_hat_fj, r.p_hat_path,
                      r.p_hat_tau, r.fj_wilson[0], r.fj_wilson[1],
@@ -239,40 +244,19 @@ def _cmd_couple_check(args) -> None:
         raise ConfigError("couple-check needs --rate or a model rate --a")
     report = couple_check(CouplingMap(target=model, rate=rate), args.grid)
     header = ["t", "h", "ratio"]
-    rows = [list(r) for r in report.rows]
-    if args.format == "json":
-        payload = {
-            "command": "couple-check",
-            "params": {"family": model.family, "a": model.a, "rate": rate,
-                       "grid": args.grid},
-            "sup_ratio_deviation": report.sup_ratio_deviation,
-            "monotonicity_violations": report.monotonicity_violations,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        _atomic_write(args.out, _render_csv(header, rows))
-    print(f"couple-check: sup|h(t)/t - 1| = {report.sup_ratio_deviation:.6g}, "
-          f"monotonicity violations = {report.monotonicity_violations}, "
-          f"wrote {args.out}")
+    _emit(args, "couple-check",
+          {"family": model.family, "a": model.a, "rate": rate, "grid": args.grid},
+          header, [list(r) for r in report.rows],
+          extra={"sup_ratio_deviation": report.sup_ratio_deviation,
+                 "monotonicity_violations": report.monotonicity_violations},
+          summary=(f"couple-check: sup|h(t)/t - 1| = {report.sup_ratio_deviation:.6g}, "
+                   f"monotonicity violations = {report.monotonicity_violations}, "
+                   f"wrote {args.out}"))
     if report.monotonicity_violations:
         raise FppError("coupling map is not monotone")
 
 
 # -- parser -------------------------------------------------------------------
-
-
-# flags a command must end up with, from any layer (defaults < file < flags)
-_REQUIRED = {
-    "bounds": ("d", "out"),
-    "sample-slab": ("d", "out"),
-    "sample-eden": ("d", "out"),
-    "concentration": ("d", "eta", "out"),
-    "subadd": ("d", "n", "out"),
-    "search-cross": ("d", "out"),
-    "ui-tail": ("d", "M", "out"),
-    "couple-check": ("out",),
-}
 
 
 def build_parser(suppress_defaults: bool = False) -> tuple[argparse.ArgumentParser, dict, dict]:
@@ -281,7 +265,9 @@ def build_parser(suppress_defaults: bool = False) -> tuple[argparse.ArgumentPars
 
     With ``suppress_defaults`` every option defaults to argparse.SUPPRESS,
     so a parse yields only what the user actually typed; main() merges that
-    over the config file over the real defaults.
+    over the config file over the real defaults. An action's ``needed``
+    says the command must end up with a value for it from one of those
+    layers.
     """
     parser = argparse.ArgumentParser(
         prog="fppslab",
@@ -291,28 +277,29 @@ def build_parser(suppress_defaults: bool = False) -> tuple[argparse.ArgumentPars
     handlers: dict = {}
     actions: dict = {}
 
-    def arg(sp, *names, default=None, **kw):
+    def arg(sp, *names, default=None, needed=False, **kw):
         kw["default"] = argparse.SUPPRESS if suppress_defaults else default
         action = sp.add_argument(*names, **kw)
+        action.needed = needed
         actions.setdefault(sp, {})[action.dest] = action
 
     def add_common(sp, *, model=True, experiment=True) -> None:
-        arg(sp, "--out", help="output file path")
+        arg(sp, "--out", help="output file path", needed=True)
         arg(sp, "--format", choices=("csv", "json"), default="csv")
         arg(sp, "--config", help="JSON file supplying any of these values")
         if model:
             arg(sp, "--family", choices=("exp", "uniform", "table"), default="exp")
             arg(sp, "--a", type=float, default=1.0, help="density of F at 0+")
             arg(sp, "--points", help="table family quantile nodes as JSON [[y,x],...]")
-            arg(sp, "--seed", type=int, default=0)
         if experiment:
-            arg(sp, "--d", type=int, action="append",
+            arg(sp, "--seed", type=int, default=0)
+            arg(sp, "--d", type=int, action="append", needed=True,
                 help="dimension; repeat for a grid")
             arg(sp, "--reps", type=int, default=100)
             arg(sp, "--budget-cap", type=int, default=1_000_000)
 
     sp = sub.add_parser("bounds", help="evaluate the moment-bound series")
-    arg(sp, "--d", type=int, action="append")
+    arg(sp, "--d", type=int, action="append", needed=True)
     arg(sp, "--a", type=float, default=1.0)
     arg(sp, "--N", type=int, help="series truncation (default 40d)")
     add_common(sp, model=False, experiment=False)
@@ -326,13 +313,13 @@ def build_parser(suppress_defaults: bool = False) -> tuple[argparse.ArgumentPars
 
     sp = sub.add_parser("concentration", help="exceedance curve of the normalized statistic")
     add_common(sp)
-    arg(sp, "--eta", type=float)
+    arg(sp, "--eta", type=float, needed=True)
     arg(sp, "--sampler", choices=("eden", "slab"), default="eden")
     handlers["concentration"] = _cmd_concentration
 
     sp = sub.add_parser("subadd", help="direct vs concatenated hyperplane passage")
     add_common(sp)
-    arg(sp, "--n", type=int, help="target hyperplane index")
+    arg(sp, "--n", type=int, needed=True, help="target hyperplane index")
     handlers["subadd"] = _cmd_subadd
 
     sp = sub.add_parser("search-cross", help="cheap-detour probability probe")
@@ -341,7 +328,7 @@ def build_parser(suppress_defaults: bool = False) -> tuple[argparse.ArgumentPars
 
     sp = sub.add_parser("ui-tail", help="truncated mean of the normalized statistic")
     add_common(sp)
-    arg(sp, "--M", type=float)
+    arg(sp, "--M", type=float, needed=True)
     arg(sp, "--sampler", choices=("eden", "slab"), default="eden")
     handlers["ui-tail"] = _cmd_ui_tail
 
@@ -367,7 +354,8 @@ def _config_value_ok(action: argparse.Action, value) -> bool:
 
 def _load_config_file(path: str, actions: dict) -> dict:
     """The config file's values, each checked against the type and choices
-    of the option it stands for, as argparse checks a flag's value."""
+    of the option it stands for and converted by that type, as argparse
+    checks and converts a flag's value."""
     try:
         with open(path) as f:
             cfg = json.load(f)
@@ -389,6 +377,13 @@ def _load_config_file(path: str, actions: dict) -> dict:
         values = value if key == "d" and isinstance(value, list) else [value]
         if not all(_config_value_ok(action, v) for v in values):
             raise ConfigError(f"config value {value!r} is not valid for {action.option_strings[0]}")
+        if action.type is not None:
+            try:
+                typed = [action.type(v) for v in values]
+            except OverflowError as exc:
+                raise ConfigError(f"config value for {action.option_strings[0]} "
+                                  f"is out of range: {exc}")
+            cfg[key] = typed if key == "d" else typed[0]
     return cfg
 
 
@@ -405,7 +400,8 @@ def main(argv: list[str] | None = None) -> int:
             merged.update(_load_config_file(explicit["config"], actions[command]))
         merged.update(explicit)
 
-        missing = [k for k in _REQUIRED[command] if merged.get(k) is None]
+        missing = [k for k, action in actions[command].items()
+                   if action.needed and merged.get(k) is None]
         if missing:
             raise ConfigError(f"{command} needs values for: {', '.join(missing)}")
 

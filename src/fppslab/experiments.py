@@ -1,10 +1,11 @@
 """Monte Carlo harness over the samplers, with reproducible statistics.
 
-Replicate seeds derive from the root seed by hashing (root, d, replicate),
-never by splitting a sequential stream, so results are independent of
-execution order. Aggregation is plain numpy reductions
-over arrays indexed by replicate, which makes every reported number a pure
-function of the configuration.
+A run's root seed is its weight model's seed: replicate r at dimension d
+uses ``derive_seed(model.seed, d, r)``. Seeds derive by hashing, never by
+splitting a sequential stream, so results are independent of execution
+order. Aggregation is plain numpy reductions over arrays indexed by
+replicate, which makes every reported number a pure function of the
+configuration.
 
 The normalized statistic throughout is X = value * 2ad / log(d), whose
 distribution concentrates at 1 as the dimension grows.
@@ -30,12 +31,11 @@ SAMPLERS = ("eden", "slab")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs of a Monte Carlo run."""
+    """Shared knobs of a Monte Carlo run; the root seed is ``model.seed``."""
 
     d_grid: tuple[int, ...]
     model: WeightModel
     replicates: int
-    root_seed: int
     budget_cap: int = DEFAULT_CLUSTER_CAP
 
     def __post_init__(self) -> None:
@@ -69,7 +69,7 @@ class SummaryStats:
 def sample_crossing_values(config: ExperimentConfig, sampler: str, d: int) -> np.ndarray:
     """Independent slab-crossing samples at dimension d, one per replicate.
 
-    Replicate ``rep`` uses the seed ``derive_seed(root_seed, d, rep)``. The
+    Replicate ``rep`` uses the seed ``derive_seed(model.seed, d, rep)``. The
     eden sampler runs all replicates through the lockstep race
     ``race_values``, whose values equal ``sample_slab_crossing``'s bit for bit.
     """
@@ -82,13 +82,13 @@ def sample_crossing_values(config: ExperimentConfig, sampler: str, d: int) -> np
                 "the cluster-race sampler is exact only for exponential weights; "
                 f"got family {model.family!r}"
             )
-        seeds = [derive_seed(config.root_seed, d, rep) for rep in range(config.replicates)]
+        seeds = [derive_seed(model.seed, d, rep) for rep in range(config.replicates)]
         return race_values(d, model.a, seeds, cluster_cap=config.budget_cap)
 
     origin = (0,) * d
 
     def one(rep: int) -> float:
-        seeded = model.with_seed(derive_seed(config.root_seed, d, rep))
+        seeded = model.with_seed(derive_seed(model.seed, d, rep))
         return slab_crossing_time(seeded, origin, 0,
                                   settled_cap=config.budget_cap).value
 
@@ -127,8 +127,9 @@ def run_slab_mc(config: ExperimentConfig, sampler: str = "eden") -> dict[int, Su
 # -- statistics helpers ------------------------------------------------------
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
+    z = 1.96
     if n < 1:
         raise DomainError("need at least one trial")
     if not 0 <= successes <= n:
@@ -232,7 +233,7 @@ def subadditivity_check(config: ExperimentConfig, n: int) -> dict[int, Subadditi
     for d in config.d_grid:
 
         def one(rep: int) -> tuple[float, list[float]]:
-            seeded = config.model.with_seed(derive_seed(config.root_seed, d, rep))
+            seeded = config.model.with_seed(derive_seed(config.model.seed, d, rep))
             crossings = greedy_concatenation(seeded, d, n,
                                              settled_cap=config.budget_cap)
             direct = point_to_hyperplane_time(seeded, d, n,
@@ -340,10 +341,13 @@ def search_cross_probe(d: int, model: WeightModel, replicates: int, *,
 
     Parameter choices follow the classical construction: subspace dimension
     p = floor(d/2), path length n = floor(0.75 log d), path budget
-    x = 9 log(d)/(4ad), first-step budget y = 32 log(d)/(ad).
+    x = 9 log(d)/(4ad), first-step budget y = 32 log(d)/(ad). A replicate
+    whose search settles more than ``node_cap`` nodes counts as capped.
     """
     if replicates < 1:
         raise DomainError(f"replicates must be >= 1, got {replicates}")
+    if node_cap < 1:
+        raise DomainError(f"node_cap must be >= 1, got {node_cap}")
     if d < 8:
         raise DomainError(f"the probe needs d >= 8 so the path has a step, got {d}")
     if model.a is None:

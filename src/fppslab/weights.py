@@ -130,6 +130,8 @@ class WeightModel:
         if self.family in ("exp", "uniform"):
             if self.a is None or not self.a > 0:
                 raise DomainError(f"family {self.family!r} needs rate a > 0, got {self.a}")
+            if self.points is not None:
+                raise DomainError(f"family {self.family!r} takes no table points")
         if self.family == "table":
             pts = self.points
             if not pts or len(pts) < 2:
@@ -345,9 +347,8 @@ class CoupleCheck:
     monotonicity_violations: int
 
 
-def couple_check(map_: CouplingMap, grid_size: int = 200,
-                 t_min: float = 1e-8, t_max: float = 1.0) -> CoupleCheck:
-    """Tabulate h(t)/t on a log grid near 0.
+def couple_check(map_: CouplingMap, grid_size: int = 200) -> CoupleCheck:
+    """Tabulate h(t)/t on a log grid from 1e-8 to 1.
 
     Reports the sup of |h(t)/t - 1| over the grid and the number of
     monotonicity violations (adjacent grid points where h decreases),
@@ -355,7 +356,7 @@ def couple_check(map_: CouplingMap, grid_size: int = 200,
     """
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
-    ts = np.geomspace(t_min, t_max, grid_size)
+    ts = np.geomspace(1e-8, 1.0, grid_size)
     rows = []
     sup_dev = 0.0
     violations = 0

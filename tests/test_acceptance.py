@@ -41,7 +41,7 @@ EXP1 = WeightModel(family="exp", a=1.0, seed=0)
 
 def _config(d, reps, seed):
     return ExperimentConfig(d_grid=tuple(d) if isinstance(d, (tuple, list)) else (d,),
-                            model=EXP1, replicates=reps, root_seed=seed)
+                            model=EXP1.with_seed(seed), replicates=reps)
 
 
 def _report(tag: str, started: float, budget: float, detail: str) -> float:

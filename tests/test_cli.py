@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,7 +68,7 @@ def test_sample_values_match_library(tmp_path):
     header, rows = read_csv(out)
     assert header == ["d", "replicate", "seed", "value"]
     cfg = ExperimentConfig(d_grid=(4,), model=WeightModel(family="exp", a=1.0, seed=3),
-                           replicates=10, root_seed=3)
+                           replicates=10)
     expected = sample_crossing_values(cfg, "slab", 4)
     assert [float(r[3]) for r in rows] == list(expected)
     assert int(rows[0][2]) == derive_seed(3, 4, 0)
@@ -92,10 +94,14 @@ def test_json_format_round_trips(tmp_path):
     assert doc["rows"][0]["ub1"] == bound_report(50, 1.0).ub1
 
 
-def test_unknown_flag_exits_2_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--d", "10", "--bogus", "1"],
+    ["couple-check", "--seed", "3"],  # the coupling table draws no weights
+], ids=["bounds-bogus", "couple-check-seed"])
+def test_unknown_flag_exits_2_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
-        run(["bounds", "--d", "10", "--out", str(out), "--bogus", "1"])
+        run(argv + ["--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
     assert list(tmp_path.iterdir()) == []
@@ -159,6 +165,7 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     {"seed": 1.5, "d": [5]},
     {"format": "xml"},
     {"mode": "bogus"},
+    {"a": 10**400, "d": [5]},
 ])
 def test_config_file_bad_value_exits_2_writes_nothing(tmp_path, capsys, config):
     # each value fails the type or choices check its flag would fail
@@ -171,10 +178,13 @@ def test_config_file_bad_value_exits_2_writes_nothing(tmp_path, capsys, config):
     assert not out.exists()
 
 
-def test_budget_cap_below_one_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["sample-slab", "--d", "3"],
+    ["search-cross", "--d", "16"],
+], ids=["sample-slab", "search-cross"])
+def test_budget_cap_below_one_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
-    code = run(["sample-slab", "--d", "3", "--reps", "2", "--budget-cap", "0",
-                "--out", str(out)])
+    code = run(argv + ["--reps", "2", "--budget-cap", "0", "--out", str(out)])
     assert code == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "DomainError"
     assert not out.exists()
@@ -235,3 +245,42 @@ def test_search_cross_cli(tmp_path):
     header, rows = read_csv(out)
     assert "p_hat_fj" in header
     assert 0.0 <= float(rows[0][header.index("p_hat_fj")]) <= 1.0
+
+
+def test_search_cross_budget_cap_caps_the_probe(tmp_path):
+    out = tmp_path / "sc.csv"
+    assert run(["search-cross", "--d", "16", "--reps", "5", "--budget-cap", "1",
+                "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert int(rows[0][header.index("capped_replicates")]) == 5
+
+
+def test_config_value_is_typed_as_its_flag(tmp_path):
+    # a JSON integer for a float flag is written as the flag would write it
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"a": 1, "d": [10]}))
+    by_file, by_flag = tmp_path / "file.json", tmp_path / "flag.json"
+    assert run(["bounds", "--config", str(cfg_path), "--format", "json",
+                "--out", str(by_file)]) == 0
+    assert run(["bounds", "--d", "10", "--a", "1", "--format", "json",
+                "--out", str(by_flag)]) == 0
+    assert by_file.read_bytes() == by_flag.read_bytes()
+
+
+def test_points_with_non_table_family_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = run(["sample-slab", "--family", "exp", "--points", "[[0,0],[0.5,1]]",
+                "--d", "3", "--reps", "2", "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "DomainError"
+    assert not out.exists()
+
+
+def test_cli_import_leaves_quadrature_unloaded():
+    # no command integrates numerically, so the CLI does not load scipy.integrate
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, fppslab.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

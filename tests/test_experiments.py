@@ -34,7 +34,6 @@ def cfg(d=(5,), reps=200, seed=7, family="exp", a=1.0, **kw):
         d_grid=tuple(d),
         model=WeightModel(family=family, a=a, seed=seed),
         replicates=reps,
-        root_seed=seed,
         **kw,
     )
 

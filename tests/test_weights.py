@@ -210,6 +210,8 @@ def test_model_validation():
         WeightModel(family="table", points=((0.1, 0.0), (1.0, 1.0)))  # must start at y=0
     with pytest.raises(DomainError):
         WeightModel(family="table", points=((0.0, 1.0), (0.5, 0.5)))  # x decreasing
+    with pytest.raises(DomainError):
+        WeightModel(family="exp", a=1.0, points=((0.0, 0.0), (1.0, 1.0)))  # not a table
 
 
 # small coordinates, and ones at or beyond the int64/uint64 edges, which the
