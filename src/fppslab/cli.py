@@ -361,8 +361,8 @@ def _load_config_file(path: str, actions: dict) -> dict:
             cfg = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except ValueError as exc:  # malformed JSON, or an integer past the digit limit
+        raise ConfigError(f"config file {path} cannot be read as JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = set(cfg) - (set(actions) - {"config"})

@@ -45,12 +45,6 @@ class PassageSample:
     seed_used: int | None
 
 
-def _edge(v: Point, axis: int, delta: int) -> EdgeId:
-    if delta > 0:
-        return EdgeId(v, axis)
-    return EdgeId(step(v, axis, -1), axis)
-
-
 def _lazy_search(model, start: Point, lo: float, hi: float, goal: Point | None,
                  settled_cap: int) -> tuple[float, Point, int]:
     """Dijkstra from ``start`` over the vertices with lo <= x_1 <= hi.
@@ -63,6 +57,7 @@ def _lazy_search(model, start: Point, lo: float, hi: float, goal: Point | None,
     raises BudgetExceeded.
     """
     moves = [(axis, delta) for axis in range(len(start)) for delta in (1, -1)]
+    edge_weight = model.edge_weight
     dist: dict[Point, float] = {start: 0.0}
     settled: set[Point] = set()
     heap: list[tuple[float, int, Point]] = [(0.0, _INNER, start)]
@@ -81,7 +76,8 @@ def _lazy_search(model, start: Point, lo: float, hi: float, goal: Point | None,
             q = step(v, axis, delta)
             if q in settled:
                 continue
-            nd = val + model.edge_weight(_edge(v, axis, delta))
+            # the edge's base is its endpoint with the smaller x_axis
+            nd = val + edge_weight(EdgeId(v if delta > 0 else q, axis))
             if nd < dist.get(q, inf):
                 dist[q] = nd
                 target = q[0] == hi or q == goal

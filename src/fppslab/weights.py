@@ -8,6 +8,16 @@ are mapped to a uniform in the open interval (0, 1), which is then pushed
 through the quantile function. This gives bit-exact reproducibility across
 runs, platforms, and any parallel schedule, with no stored realization.
 
+``WeightModel.edge_weight`` reuses the fold's state after the first three
+key words, (d, axis, x_1): each model keeps those states in its own dict,
+keyed by the three words, and folds only the remaining d - 1 coordinates
+per call. The fold is a chain, so resuming from the state it reached
+after a prefix and absorbing the rest gives the same 64 bits as folding
+the whole key; the cache stores exact integers, never rounded values.
+The states depend on the seed, so the cache belongs to one instance:
+``with_seed`` builds a new model with an empty one, and the cache takes
+no part in equality, hashing or ``repr``.
+
 ``WeightModel.star_weights(v, axes)`` is the batch form of the oracle: it
 returns the weights of the two edges along each axis at v (the edge to
 v + e_axis, then the edge to v - e_axis) and hashes all their keys in
@@ -123,6 +133,9 @@ class WeightModel:
                                    default=())
     _xs: tuple[float, ...] = field(init=False, repr=False, compare=False, hash=False,
                                    default=())
+    # fold64 state after the key words (d, axis, x_1), per realization
+    _prefix: dict[tuple[int, int, int], int] = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -206,8 +219,21 @@ class WeightModel:
     # -- seeded oracle -----------------------------------------------------
 
     def edge_weight(self, e: EdgeId) -> float:
-        """Deterministic weight of edge e under this realization."""
-        h = fold64(self.seed, (len(e.base), e.axis, *e.base))
+        """Deterministic weight of edge e under this realization.
+
+        Equal to ``quantile(bits_to_unit(fold64(seed, (d, axis, *base))))``;
+        the state after the first three key words comes from ``_prefix``.
+        """
+        base = e.base
+        prefix = (len(base), e.axis, base[0])
+        h = self._prefix.get(prefix)
+        if h is None:
+            h = self._prefix[prefix] = fold64(self.seed, prefix)
+        for w in base[1:]:  # fold64's remaining rounds, mix64 inlined
+            z = ((h + _GOLDEN) & U64) ^ (w & U64)
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & U64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & U64
+            h = z ^ (z >> 31)
         return self.quantile(bits_to_unit(h))
 
     def star_weights(self, v: Point, axes) -> list[float]:

@@ -5,8 +5,9 @@ the slab oracle is a dense Bellman-Ford relaxation on an explicit truncated
 graph, the quantile oracle reconstructs the forward CDF from tabulated
 inverse pairs on a dense grid and scans for the infimum, the
 cheap-detour oracle is the probe's search with one scalar ``edge_weight``
-call per edge, and the draw-source oracle turns each whole block of
-variates into a list at once.
+call per edge, the draw-source oracle turns each whole block of variates
+into a list at once, and the edge-weight oracle folds the whole edge key
+from the seed on every call, with no cached state.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from math import inf
 import numpy as np
 
 from fppslab.lattice import EdgeId, step
+from fppslab.weights import bits_to_unit, fold64
 
 
 def slab_value_bruteforce(model, d: int, radius: int) -> float:
@@ -50,6 +52,12 @@ def slab_value_bruteforce(model, d: int, radius: int) -> float:
         dist[i] + model.edge_weight(EdgeId((0,) + verts[i], 0))
         for i in range(len(verts))
     )
+
+
+def edge_weight_reference(model, e: EdgeId) -> float:
+    """The v1 oracle's weight of e: the key (d, axis, *base) folded in one go."""
+    h = fold64(model.seed, (len(e.base), e.axis, *e.base))
+    return model.quantile(bits_to_unit(h))
 
 
 def table_quantile_bruteforce(points, y: float, n: int = 400_001) -> float:

@@ -166,11 +166,14 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     {"format": "xml"},
     {"mode": "bogus"},
     {"a": 10**400, "d": [5]},
+    # past Python's 4300-digit int-string limit; json.dumps fails on it too,
+    # so the file is given as text
+    '{"reps": ' + "1" * 5000 + ', "d": [5]}',
 ])
 def test_config_file_bad_value_exits_2_writes_nothing(tmp_path, capsys, config):
     # each value fails the type or choices check its flag would fail
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(config))
+    cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
     out = tmp_path / "x.csv"
     code = run(["sample-eden", "--config", str(cfg_path), "--d", "5", "--out", str(out)])
     assert code == 2

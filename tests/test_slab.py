@@ -221,3 +221,45 @@ def test_sampler_distributions_agree_smoke():
         ]
     )
     assert ks_statistic(eden_vals, slab_vals) < 0.06
+
+
+# (family, d, seed, value.hex(), exit vertex, settled count) of the crossing
+# from the origin, recorded from the kernel before the oracle's prefix cache
+GOLDEN_CROSSINGS = [
+    ("exp", 3, 1, "0x1.a162ea7e437f4p-3", (1, 0, 0), 4),
+    ("exp", 3, 2, "0x1.6d3461fe9dbf9p-3", (1, 0, 1), 2),
+    ("exp", 3, 3, "0x1.640274190845ep-2", (1, 1, 0), 4),
+    ("exp", 3, 20261018, "0x1.3d55efcd92e6fp-3", (1, 0, 0), 1),
+    ("exp", 3, 2**64 - 1, "0x1.7fce00a2156c3p-1", (1, 0, 0), 4),
+    ("exp", 5, 1, "0x1.39c92b49c5b5cp-2", (1, 0, 1, 1, 0), 13),
+    ("exp", 5, 2, "0x1.7a960dfa0561ap-3", (1, 0, 0, 0, 0), 1),
+    ("exp", 5, 3, "0x1.7908484bf95e8p-2", (1, 0, 0, 0, 0), 3),
+    ("exp", 5, 20261018, "0x1.1f9ce6c1c372fp-1", (1, -1, 0, 0, 0), 9),
+    ("exp", 5, 2**64 - 1, "0x1.568a681e7a681p-4", (1, 0, 0, 0, 0), 2),
+    ("table", 4, 1, "0x1.3333333333333p-2", (1, 0, 0, 0), 3),
+    ("table", 4, 2, "0x1.80eb8ccd5dbebp-2", (1, 0, 0, 0), 8),
+    ("table", 4, 3, "0x1.3333333333333p-2", (1, 0, 0, 0), 3),
+    ("table", 4, 20261018, "0x1.6325e610f81d0p-6", (1, 0, 0, 0), 1),
+    ("table", 4, 2**64 - 1, "0x1.100ea4b362cb8p-2", (1, -1, 0, 0), 2),
+]
+
+
+def test_golden_values_fix_the_kernel():
+    for family, d, seed, value, exit_vertex, settled in GOLDEN_CROSSINGS:
+        m = WeightModel(family=family, a=1.0, seed=seed,
+                        points=ATOM_TABLE if family == "table" else None)
+        s = slab_crossing_time(m, (0,) * d, 0)
+        assert (s.value.hex(), s.exit_vertex, s.settled_count) == (
+            value, exit_vertex, settled), (family, d, seed)
+    # off the origin, with a coordinate the key fold reduces mod 2^64
+    s = slab_crossing_time(WeightModel(family="exp", a=1.0, seed=11), (3, 1, -2), 3)
+    assert (s.value.hex(), s.exit_vertex, s.settled_count) == (
+        "0x1.3c23a38a9d5b1p-1", (4, 2, -2), 4)
+    s = slab_crossing_time(WeightModel(family="table", points=ATOM_TABLE, seed=11),
+                           (-2, 5, -7, 2**64), -2)
+    assert (s.value.hex(), s.exit_vertex, s.settled_count) == (
+        "0x1.82cea652911c8p-2", (-1, 5, -7, 2**64 - 1), 8)
+    assert point_to_hyperplane_time(
+        WeightModel(family="exp", a=1.0, seed=7), 4, 3).hex() == "0x1.4325a565505c8p+0"
+    assert point_to_hyperplane_time(
+        WeightModel(family="exp", a=1.0, seed=2**63), 4, 3).hex() == "0x1.bde9eb9f84499p-1"

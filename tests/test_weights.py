@@ -21,7 +21,7 @@ from fppslab.weights import (
     verify_density_condition,
 )
 
-from oracles import table_quantile_bruteforce
+from oracles import edge_weight_reference, table_quantile_bruteforce
 
 # table for F with an atom at x = 1.0 of mass 0.4 (quantile flat on (0.3, 0.7])
 JUMP_TABLE = ((0.0, 0.0), (0.3, 1.0), (0.7, 1.0), (1.0, 2.0))
@@ -240,3 +240,50 @@ def test_star_weights_match_edge_weight_bit_for_bit(family, a, points, data, d, 
         expected += [m.edge_weight(EdgeId(v, axis)), m.edge_weight(EdgeId(below, axis))]
     got = m.star_weights(v, axes)
     assert [w.hex() for w in got] == [w.hex() for w in expected]
+
+
+# seeds below 0 and at or beyond 2^64 as well as in range; fold64 reduces
+# them mod 2^64
+SEEDS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(-(2**64), -1),
+    st.integers(2**64, 2**65),
+)
+
+
+@pytest.mark.parametrize(
+    "family, a, points",
+    [("exp", 1.3, None), ("uniform", 0.7, None), ("table", None, ATOM_TABLE)],
+)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data(), dims=st.lists(st.integers(2, 300), min_size=2, max_size=2,
+                                     unique=True),
+       seed=SEEDS, child_seeds=st.lists(SEEDS, min_size=1, max_size=3))
+def test_edge_weight_matches_reference_fold_bit_for_bit(family, a, points, data, dims,
+                                                        seed, child_seeds):
+    # each (axis, x_1) is asked at one dimension, the other, then the first
+    # again, so the two dimensions' prefix states interleave on one instance
+    edges = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        axis = data.draw(st.integers(0, min(dims) - 1))
+        x1 = data.draw(COORDS)
+        # the later words repeat a short drawn cycle, to keep generation cheap
+        cycle = data.draw(st.lists(COORDS, min_size=1, max_size=8))
+        rest = cycle * max(dims)
+        edges += [EdgeId((x1, *rest[:d - 1]), axis) for d in (dims[0], dims[1], dims[0])]
+    parent = WeightModel(family=family, a=a, points=points, seed=seed)
+    # re-seeded children ask the parent's edges after it has cached them
+    for m in [parent] + [parent.with_seed(s) for s in child_seeds]:
+        got = [m.edge_weight(e).hex() for e in edges]
+        assert got == [edge_weight_reference(m, e).hex() for e in edges]
+
+
+def test_prefix_cache_leaves_model_identity_alone():
+    for family, points in (("exp", None), ("table", ATOM_TABLE)):
+        filled = WeightModel(family=family, a=1.0, points=points, seed=5)
+        fresh = WeightModel(family=family, a=1.0, points=points, seed=5)
+        filled.edge_weight(EdgeId((0, 1, -2), 1))
+        assert filled._prefix and not fresh._prefix
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh) and "_prefix" not in repr(filled)
+        assert not filled.with_seed(6)._prefix
