@@ -31,6 +31,7 @@ import numpy as np
 import scipy
 
 from .errors import DomainError, QuadratureFailure
+from .weights import check_rate
 
 _CHUNK = 1 << 18
 _NEGLIGIBLE = 1e-30
@@ -90,8 +91,7 @@ def asymptote(d: float, a: float) -> float:
     """High-dimensional limit log(d)/(2ad) of the mean crossing time."""
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    if not a > 0:
-        raise DomainError(f"rate must be positive, got {a}")
+    check_rate(a)
     return math.log(d) / (2.0 * a * d)
 
 
@@ -149,8 +149,7 @@ def first_moment_ub(d: int, a: float, truncation_n: int | None = None) -> tuple[
     """
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    if not a > 0:
-        raise DomainError(f"rate must be positive, got {a}")
+    check_rate(a)
     if truncation_n is None:
         truncation_n = default_truncation(d)
     if truncation_n < 2:
@@ -178,8 +177,7 @@ def second_moment_ub(d: int, a: float, truncation_n: int | None = None) -> tuple
     """
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    if not a > 0:
-        raise DomainError(f"rate must be positive, got {a}")
+    check_rate(a)
     if truncation_n is None:
         truncation_n = default_truncation(d)
     if truncation_n < 2:

@@ -34,6 +34,7 @@ from .errors import (
 from .experiments import (
     ExperimentConfig,
     concentration_curve,
+    replicate_seeds,
     run_slab_mc,
     sample_crossing_values,
     search_cross_probe,
@@ -41,7 +42,7 @@ from .experiments import (
     summarize,
     ui_tail,
 )
-from .weights import CouplingMap, WeightModel, couple_check, derive_seed
+from .weights import CouplingMap, WeightModel, couple_check
 
 _CONFIG_EXIT = (ConfigError, DomainError, UnsupportedModel, SamplerMismatch, NotAdjacent)
 
@@ -179,8 +180,9 @@ def _cmd_sample(args, sampler: str) -> None:
     rows = []
     for d in cfg.d_grid:
         values = sample_crossing_values(cfg, sampler, d)
-        for rep, v in enumerate(values):
-            rows.append([d, rep, derive_seed(model.seed, d, rep), float(v)])
+        seeds = replicate_seeds(model, d, cfg.replicates)
+        for rep, (seed, v) in enumerate(zip(seeds, values)):
+            rows.append([d, rep, seed, float(v)])
     _emit(args, f"sample-{sampler}", params, header, rows)
 
 
@@ -259,15 +261,15 @@ def _cmd_couple_check(args) -> None:
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser(suppress_defaults: bool = False) -> tuple[argparse.ArgumentParser, dict, dict]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
     """Parser for all subcommands, each command's handler, and each
     command's option actions by destination name.
 
-    With ``suppress_defaults`` every option defaults to argparse.SUPPRESS,
-    so a parse yields only what the user actually typed; main() merges that
-    over the config file over the real defaults. An action's ``needed``
-    says the command must end up with a value for it from one of those
-    layers.
+    Every option defaults to argparse.SUPPRESS, so a parse yields only what
+    the user actually typed; the real default is the action's ``fallback``.
+    main() merges the typed values over the config file over the fallbacks.
+    An action's ``needed`` says the command must end up with a value for it
+    from one of those layers.
     """
     parser = argparse.ArgumentParser(
         prog="fppslab",
@@ -278,8 +280,8 @@ def build_parser(suppress_defaults: bool = False) -> tuple[argparse.ArgumentPars
     actions: dict = {}
 
     def arg(sp, *names, default=None, needed=False, **kw):
-        kw["default"] = argparse.SUPPRESS if suppress_defaults else default
-        action = sp.add_argument(*names, **kw)
+        action = sp.add_argument(*names, default=argparse.SUPPRESS, **kw)
+        action.fallback = default
         action.needed = needed
         actions.setdefault(sp, {})[action.dest] = action
 
@@ -390,12 +392,11 @@ def _load_config_file(path: str, actions: dict) -> dict:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        explicit_parser, handlers, _ = build_parser(suppress_defaults=True)
-        explicit = vars(explicit_parser.parse_args(argv))
+        parser, handlers, actions = build_parser()
+        explicit = vars(parser.parse_args(argv))
         command = explicit["command"]
 
-        default_parser, _, actions = build_parser()
-        merged = vars(default_parser.parse_args([command]))
+        merged = {dest: action.fallback for dest, action in actions[command].items()}
         if "config" in explicit:
             merged.update(_load_config_file(explicit["config"], actions[command]))
         merged.update(explicit)

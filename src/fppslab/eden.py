@@ -64,7 +64,7 @@ import numpy as np
 from .errors import BudgetExceeded, DomainError, InvariantViolation
 from .lattice import EdgeId, Point, step
 from .slab import PassageSample
-from .weights import U64, fold64
+from .weights import U64, check_rate, fold64
 
 DEFAULT_CLUSTER_CAP = 1_000_000
 
@@ -185,16 +185,11 @@ class ClusterState:
     def perimeter_size_recomputed(self) -> int:
         return len(self.perimeter_edges())
 
-    def exit_candidate_count(self) -> int:
-        """One forward edge per infected vertex."""
-        return len(self.coords)
-
 
 def _check_domain(d: int, a: float) -> None:
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    if not a > 0:
-        raise DomainError(f"rate must be positive, got {a}")
+    check_rate(a)
 
 
 def initial_cluster(d: int, a: float = 1.0) -> ClusterState:
@@ -222,11 +217,11 @@ def _check_perimeter_bounds(d: int, i: int, S: int) -> None:
 
 
 def dhar_step(state: ClusterState, source: DrawSource, *,
-              validate: bool = False) -> tuple[ClusterState, bool]:
-    """Advance the race by one crossed edge; returns (state, exited).
+              validate: bool = False) -> bool:
+    """Advance the race by one crossed edge, in place; returns whether the
+    crossed edge was a forward one, which ends the race.
 
-    The state is updated in place. After an exit the state is frozen and
-    further steps raise.
+    After an exit the state is frozen and further steps raise.
     """
     if state.exited:
         raise DomainError("cluster already exited; state is frozen")
@@ -241,7 +236,7 @@ def dhar_step(state: ClusterState, source: DrawSource, *,
     if j < i:
         state.exited = True
         state.exit_vertex = (1,) + state.coords[j]
-        return state, True
+        return True
 
     m = tables.n_dirs
     c_step = tables.c_step
@@ -273,7 +268,7 @@ def dhar_step(state: ClusterState, source: DrawSource, *,
                 f"incremental perimeter {state.perimeter_count} != recomputed {exact}"
             )
     _check_perimeter_bounds(state.dimension, len(keys), state.perimeter_count)
-    return state, False
+    return False
 
 
 def sample_slab_crossing(d: int, a: float = 1.0, seed: int = 0, *,
@@ -287,15 +282,8 @@ def sample_slab_crossing(d: int, a: float = 1.0, seed: int = 0, *,
     state = initial_cluster(d, a)
     source = DrawSource.from_seed(seed)
     while True:
-        _, exited = dhar_step(state, source, validate=validate)
-        if exited:
-            return PassageSample(
-                value=state.elapsed,
-                exit_vertex=state.exit_vertex,
-                settled_count=state.infected_count,
-                dimension=d,
-                seed_used=seed,
-            )
+        if dhar_step(state, source, validate=validate):
+            return PassageSample(state.elapsed, state.exit_vertex, state.infected_count)
         if state.infected_count >= cluster_cap:
             raise BudgetExceeded(f"cluster grew past cap {cluster_cap} without exiting")
 

@@ -1,11 +1,12 @@
 """Monte Carlo harness over the samplers, with reproducible statistics.
 
-A run's root seed is its weight model's seed: replicate r at dimension d
-uses ``derive_seed(model.seed, d, r)``. Seeds derive by hashing, never by
-splitting a sequential stream, so results are independent of execution
-order. Aggregation is plain numpy reductions over arrays indexed by
-replicate, which makes every reported number a pure function of the
-configuration.
+A run's root seed is its weight model's seed: ``replicate_seeds(model, d, n)``
+derives the seeds of replicates 0..n-1 at dimension d from it, and every
+sampler, check and probe here takes its seeds from there, as does the CLI's
+``seed`` column. Seeds derive by hashing, never by splitting a sequential
+stream, so results are independent of execution order. Aggregation is
+plain numpy reductions over arrays indexed by replicate, which makes every
+reported number a pure function of the configuration.
 
 The normalized statistic throughout is X = value * 2ad / log(d), whose
 distribution concentrates at 1 as the dimension grows.
@@ -66,33 +67,34 @@ class SummaryStats:
     normalized_var: float | None
 
 
+def replicate_seeds(model: WeightModel, d: int, n: int) -> list[int]:
+    """Seeds of replicates 0..n-1 at dimension d: ``derive_seed(model.seed, d, rep)``."""
+    return [derive_seed(model.seed, d, rep) for rep in range(n)]
+
+
 def sample_crossing_values(config: ExperimentConfig, sampler: str, d: int) -> np.ndarray:
     """Independent slab-crossing samples at dimension d, one per replicate.
 
-    Replicate ``rep`` uses the seed ``derive_seed(model.seed, d, rep)``. The
-    eden sampler runs all replicates through the lockstep race
-    ``race_values``, whose values equal ``sample_slab_crossing``'s bit for bit.
+    Replicate ``rep`` uses seed ``rep`` of ``replicate_seeds``. The eden
+    sampler runs all replicates through the lockstep race ``race_values``,
+    whose values equal ``sample_slab_crossing``'s bit for bit.
     """
     if sampler not in SAMPLERS:
         raise DomainError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
     model = config.model
+    seeds = replicate_seeds(model, d, config.replicates)
     if sampler == "eden":
         if model.family != "exp":
             raise SamplerMismatch(
                 "the cluster-race sampler is exact only for exponential weights; "
                 f"got family {model.family!r}"
             )
-        seeds = [derive_seed(model.seed, d, rep) for rep in range(config.replicates)]
         return race_values(d, model.a, seeds, cluster_cap=config.budget_cap)
 
     origin = (0,) * d
-
-    def one(rep: int) -> float:
-        seeded = model.with_seed(derive_seed(model.seed, d, rep))
-        return slab_crossing_time(seeded, origin, 0,
-                                  settled_cap=config.budget_cap).value
-
-    return np.array([one(rep) for rep in range(config.replicates)], dtype=np.float64)
+    return np.array([slab_crossing_time(model.with_seed(seed), origin,
+                                        settled_cap=config.budget_cap).value
+                     for seed in seeds], dtype=np.float64)
 
 
 def summarize(values: np.ndarray, d: int, a: float | None) -> SummaryStats:
@@ -232,15 +234,15 @@ def subadditivity_check(config: ExperimentConfig, n: int) -> dict[int, Subadditi
     out: dict[int, SubadditivityReport] = {}
     for d in config.d_grid:
 
-        def one(rep: int) -> tuple[float, list[float]]:
-            seeded = config.model.with_seed(derive_seed(config.model.seed, d, rep))
+        def one(seed: int) -> tuple[float, list[float]]:
+            seeded = config.model.with_seed(seed)
             crossings = greedy_concatenation(seeded, d, n,
                                              settled_cap=config.budget_cap)
             direct = point_to_hyperplane_time(seeded, d, n,
                                               settled_cap=config.budget_cap)
             return direct, [s.value for s in crossings]
 
-        rows = [one(rep) for rep in range(config.replicates)]
+        rows = [one(seed) for seed in replicate_seeds(config.model, d, config.replicates)]
         direct = np.array([r[0] for r in rows])
         sums = np.array([sum(r[1]) for r in rows])
         singles = np.array([v for r in rows for v in r[1]])
@@ -304,21 +306,17 @@ def _fast_path_exists(model: WeightModel, d: int, p: int, n_steps: int, x: float
     valid one-sided hit.
     """
     start = (0,) * d
-    if n_steps == 1:
-        return model.edge_weight(EdgeId(start, 0)) <= x, False
     axes = range(1, p + 1)
     moves = [(axis, delta) for axis in axes for delta in (1, -1)]  # star_weights order
     best: dict[tuple[int, Point], float] = {(0, start): 0.0}
     heap: list[tuple[float, int, Point]] = [(0.0, 0, start)]
     settled: set[tuple[int, Point]] = set()
-    nodes = 0
     while heap:
         cost, t, v = heappop(heap)
         if (t, v) in settled:
             continue
         settled.add((t, v))
-        nodes += 1
-        if nodes > node_cap:
+        if len(settled) > node_cap:
             return False, True
         if t == n_steps - 1:
             if cost + model.edge_weight(EdgeId(v, 0)) <= x:
@@ -360,13 +358,13 @@ def search_cross_probe(d: int, model: WeightModel, replicates: int, *,
     ortho_axis = p + 1  # first axis outside both the subspace and the forward axis
     origin = (0,) * d
 
-    def one(rep: int) -> tuple[bool, bool, bool]:
-        seeded = model.with_seed(derive_seed(model.seed, d, rep))
+    def one(seed: int) -> tuple[bool, bool, bool]:
+        seeded = model.with_seed(seed)
         tau = seeded.edge_weight(EdgeId(origin, ortho_axis))
         found, capped = _fast_path_exists(seeded, d, p, n_steps, x, node_cap)
         return tau <= y, found, capped
 
-    rows = [one(rep) for rep in range(replicates)]
+    rows = [one(seed) for seed in replicate_seeds(model, d, replicates)]
     tau_ok = np.array([r[0] for r in rows])
     path_ok = np.array([r[1] for r in rows])
     capped = sum(1 for r in rows if r[2])

@@ -15,9 +15,10 @@ value; that value is then exact. Ties (measure zero under continuous
 weights, possible under table atoms) break deterministically: targets
 before other entries, then lexicographic vertex order.
 
-The slab crossing from plane k is the search over k <= x_1 <= k + 1, so
-its target is x_1 = k + 1; the point-to-hyperplane time is the search over
-0 <= x_1 <= n; the point-to-point time searches all of Z^d for the goal y.
+The slab crossing from a start on plane k = start[0] is the search over
+k <= x_1 <= k + 1, so its target is x_1 = k + 1; the point-to-hyperplane
+time is the search over 0 <= x_1 <= n; the point-to-point time searches
+all of Z^d for the goal y.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from math import inf
 
 from .errors import BudgetExceeded, DomainError
-from .lattice import EdgeId, Point, hyperplane_index, step
+from .lattice import EdgeId, Point, step
 
 DEFAULT_SETTLED_CAP = 10_000_000
 
@@ -41,8 +42,6 @@ class PassageSample:
     value: float
     exit_vertex: Point
     settled_count: int
-    dimension: int
-    seed_used: int | None
 
 
 def _lazy_search(model, start: Point, lo: float, hi: float, goal: Point | None,
@@ -85,30 +84,20 @@ def _lazy_search(model, start: Point, lo: float, hi: float, goal: Point | None,
     raise BudgetExceeded("search exhausted without reaching a target")
 
 
-def slab_crossing_time(model, start: Point, k: int = 0, *,
+def slab_crossing_time(model, start: Point, *,
                        settled_cap: int = DEFAULT_SETTLED_CAP) -> PassageSample:
     """Cheapest crossing from ``start`` into the next hyperplane.
 
-    Minimizes total weight over finite paths whose non-terminal vertices all
-    lie in the hyperplane {x_1 = k} and whose final edge steps forward to
-    {x_1 = k + 1}; backward edges are not available at all. The optimum is
-    found exactly; ``settled_cap`` is only a safety valve against weight
-    models with mass far from zero.
+    With k = start[0], minimizes total weight over finite paths whose
+    non-terminal vertices all lie in the hyperplane {x_1 = k} and whose
+    final edge steps forward to {x_1 = k + 1}; backward edges are not
+    available at all. The optimum is found exactly; ``settled_cap`` is only
+    a safety valve against weight models with mass far from zero.
     """
-    d = len(start)
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-    if hyperplane_index(start) != k:
-        raise DomainError(f"start {start} does not lie in hyperplane {k}")
-    value, exit_vertex, settled = _lazy_search(
-        model, start, k, k + 1, None, settled_cap)
-    return PassageSample(
-        value=value,
-        exit_vertex=exit_vertex,
-        settled_count=settled,
-        dimension=d,
-        seed_used=getattr(model, "seed", None),
-    )
+    if len(start) < 2:
+        raise DomainError(f"dimension must be >= 2, got {len(start)}")
+    k = start[0]
+    return PassageSample(*_lazy_search(model, start, k, k + 1, None, settled_cap))
 
 
 def point_to_hyperplane_time(model, d: int, n: int, *,
@@ -149,8 +138,8 @@ def greedy_concatenation(model, d: int, n: int, *,
         raise DomainError(f"need at least one crossing, got {n}")
     out: list[PassageSample] = []
     v: Point = (0,) * d
-    for k in range(n):
-        sample = slab_crossing_time(model, v, k, settled_cap=settled_cap)
+    for _ in range(n):
+        sample = slab_crossing_time(model, v, settled_cap=settled_cap)
         out.append(sample)
         v = sample.exit_vertex
     return out

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,6 +102,12 @@ def derive_seed(root_seed: int, *indices: int) -> int:
     return fold64(root_seed, indices)
 
 
+def check_rate(a: float, name: str = "rate") -> None:
+    """Raise DomainError unless ``a`` is a finite number > 0."""
+    if not 0 < a < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {a}")
+
+
 def bits_to_unit(h: int) -> float:
     """Map 64 hashed bits to a double in the open interval (0, 1).
 
@@ -141,14 +147,16 @@ class WeightModel:
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.family in ("exp", "uniform"):
-            if self.a is None or not self.a > 0:
-                raise DomainError(f"family {self.family!r} needs rate a > 0, got {self.a}")
+            if self.a is None:
+                raise DomainError(f"family {self.family!r} needs a rate a")
             if self.points is not None:
                 raise DomainError(f"family {self.family!r} takes no table points")
         if self.family == "table":
             pts = self.points
             if not pts or len(pts) < 2:
                 raise DomainError("table family needs at least two (y, x) points")
+            if not all(math.isfinite(v) for p in pts for v in p):
+                raise DomainError(f"table nodes must be finite, got {pts}")
             ys = [p[0] for p in pts]
             xs = [p[1] for p in pts]
             if ys[0] != 0.0:
@@ -165,8 +173,8 @@ class WeightModel:
             object.__setattr__(self, "points", pts)
             object.__setattr__(self, "_ys", tuple(p[0] for p in pts))
             object.__setattr__(self, "_xs", tuple(p[1] for p in pts))
-        if self.a is not None and not self.a > 0:
-            raise DomainError(f"rate a must be positive, got {self.a}")
+        if self.a is not None:
+            check_rate(self.a, "rate a")
 
     # -- distribution ------------------------------------------------------
 
@@ -262,7 +270,12 @@ class WeightModel:
         return [self.quantile(u) for u in units]
 
     def with_seed(self, seed: int) -> "WeightModel":
-        return replace(self, seed=seed)
+        """``dataclasses.replace(self, seed=seed)`` without re-running the
+        validation: the new model shares this one's checked fields and
+        starts an empty ``_prefix``."""
+        twin = object.__new__(WeightModel)
+        twin.__dict__.update(self.__dict__, seed=seed, _prefix={})
+        return twin
 
 
 @dataclass(frozen=True)
@@ -279,8 +292,7 @@ class CouplingMap:
     rate: float
 
     def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise DomainError(f"coupling rate must be positive, got {self.rate}")
+        check_rate(self.rate, "coupling rate")
 
     def __call__(self, t: float) -> float:
         if t < 0:
@@ -314,10 +326,6 @@ class CoupledWeights:
             raise DomainError("coupled weights must transform an exponential source")
         if self.map.rate != self.source.a:
             raise DomainError("coupling rate must match the source exponential rate")
-
-    @property
-    def seed(self) -> int:
-        return self.source.seed
 
     def edge_weight(self, e: EdgeId) -> float:
         return self.map(self.source.edge_weight(e))

@@ -55,7 +55,7 @@ def test_c01_slab_exactness_against_bruteforce_oracle():
     worst = 0.0
     for seed in range(1000, 1100):
         m = WeightModel(family="exp", a=1.0, seed=seed)
-        lazy = slab_crossing_time(m, (0, 0, 0), 0).value
+        lazy = slab_crossing_time(m, (0, 0, 0)).value
         brute = slab_value_bruteforce(m, 3, 6)
         worst = max(worst, abs(lazy - brute))
         assert abs(lazy - brute) <= 1e-12
@@ -176,8 +176,8 @@ def test_c08_coupling_identity_and_pathwise_domination():
     cm = CouplingMap(target=WeightModel(family="uniform", a=1.0), rate=1.0)
     for seed in range(2000, 2100):
         src = WeightModel(family="exp", a=1.0, seed=seed)
-        plain = slab_crossing_time(src, (0, 0, 0, 0), 0).value
-        coupled = slab_crossing_time(CoupledWeights(src, cm), (0, 0, 0, 0), 0).value
+        plain = slab_crossing_time(src, (0, 0, 0, 0)).value
+        coupled = slab_crossing_time(CoupledWeights(src, cm), (0, 0, 0, 0)).value
         assert coupled <= plain + 1e-12
     elapsed = _report(
         "c08", t0, 30,

@@ -270,6 +270,33 @@ def test_config_value_is_typed_as_its_flag(tmp_path):
     assert by_file.read_bytes() == by_flag.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--d", "10", "--a", "inf"],
+    ["sample-slab", "--d", "3", "--reps", "2", "--a", "inf"],
+    ["sample-eden", "--d", "3", "--reps", "2", "--a", "inf"],
+    ["sample-slab", "--d", "3", "--reps", "2", "--family", "table",
+     "--points", "[[0,0],[0.5,NaN]]"],
+], ids=["bounds-a-inf", "slab-a-inf", "eden-a-inf", "table-nan-node"])
+def test_non_finite_input_exits_2_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    code = run(argv + ["--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "DomainError"
+    assert not out.exists()
+
+
+def test_config_points_list_writes_the_flag_bytes(tmp_path):
+    points = [[0.0, 0.0], [0.3, 0.3], [0.6, 0.3], [0.9, 1.0]]
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"family": "table", "points": points}))
+    by_file, by_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    common = ["sample-slab", "--d", "4", "--reps", "5", "--seed", "3"]
+    assert run(common + ["--config", str(cfg_path), "--out", str(by_file)]) == 0
+    assert run(common + ["--family", "table", "--points", json.dumps(points),
+                         "--out", str(by_flag)]) == 0
+    assert by_file.read_bytes() == by_flag.read_bytes()
+
+
 def test_points_with_non_table_family_exits_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = run(["sample-slab", "--family", "exp", "--points", "[[0,0],[0.5,1]]",

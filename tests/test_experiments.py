@@ -163,7 +163,7 @@ def test_single_hyperplane_inclusion():
     for seed in range(20):
         m = WeightModel(family="exp", a=1.0, seed=derive_seed(55, seed))
         direct = point_to_hyperplane_time(m, 3, 1)
-        confined = slab_crossing_time(m, (0, 0, 0), 0).value
+        confined = slab_crossing_time(m, (0, 0, 0)).value
         assert direct <= confined + 1e-12
 
 

@@ -26,7 +26,6 @@ class MapWeights:
     def __init__(self, default: float, overrides: dict | None = None):
         self.default = default
         self.overrides = overrides or {}
-        self.seed = None
 
     def edge_weight(self, e: EdgeId) -> float:
         return self.overrides.get(e, self.default)
@@ -34,7 +33,7 @@ class MapWeights:
 
 def test_single_cheap_exit_dominates():
     m = MapWeights(10.0, {EdgeId((0, 0, 0), 0): 0.5})
-    s = slab_crossing_time(m, (0, 0, 0), 0)
+    s = slab_crossing_time(m, (0, 0, 0))
     assert s.value == 0.5
     assert s.exit_vertex == (1, 0, 0)
     assert s.settled_count == 1
@@ -43,14 +42,14 @@ def test_single_cheap_exit_dominates():
 def test_value_never_exceeds_direct_exit_edge():
     for seed in range(50):
         m = WeightModel(family="exp", a=1.0, seed=seed)
-        s = slab_crossing_time(m, (0, 0, 0), 0)
+        s = slab_crossing_time(m, (0, 0, 0))
         assert s.value <= m.edge_weight(EdgeId((0, 0, 0), 0)) + 1e-15
 
 
 def test_matches_bruteforce_relaxation_oracle():
     for seed in range(20):
         m = WeightModel(family="exp", a=1.0, seed=3000 + seed)
-        lazy = slab_crossing_time(m, (0, 0, 0), 0)
+        lazy = slab_crossing_time(m, (0, 0, 0))
         brute = slab_value_bruteforce(m, 3, 6)
         assert lazy.value == pytest.approx(brute, abs=1e-12)
 
@@ -69,7 +68,7 @@ BRUTE_RADIUS = {2: 12, 3: 6, 4: 4}
 def test_kernel_matches_bruteforce_oracle(family, d, seed, n):
     m = WeightModel(family=family, a=1.0, seed=seed,
                     points=ATOM_TABLE if family == "table" else None)
-    lazy = slab_crossing_time(m, (0,) * d, 0)
+    lazy = slab_crossing_time(m, (0,) * d)
     brute = slab_value_bruteforce(m, d, BRUTE_RADIUS[d])
     assert lazy.value == pytest.approx(brute, abs=1e-12)
     total = sum(s.value for s in greedy_concatenation(m, d, n))
@@ -78,22 +77,18 @@ def test_kernel_matches_bruteforce_oracle(family, d, seed, n):
 
 def test_exit_vertex_in_next_hyperplane_and_shifted_start():
     m = WeightModel(family="exp", a=1.0, seed=11)
-    s = slab_crossing_time(m, (3, 1, -2), 3)
+    s = slab_crossing_time(m, (3, 1, -2))
     assert hyperplane_index(s.exit_vertex) == 4
-    with pytest.raises(DomainError):
-        slab_crossing_time(m, (3, 1, -2), 0)
 
 
 def test_budget_cap_raises():
     # cheap in-plane edges, expensive exits: the frontier must grow past the cap
     class SlowExit:
-        seed = None
-
         def edge_weight(self, e: EdgeId) -> float:
             return 50.0 if e.axis == 0 else 1.0
 
     with pytest.raises(BudgetExceeded):
-        slab_crossing_time(SlowExit(), (0, 0, 0), 0, settled_cap=100)
+        slab_crossing_time(SlowExit(), (0, 0, 0), settled_cap=100)
 
 
 class Boxed:
@@ -102,7 +97,6 @@ class Boxed:
     def __init__(self, model, r: int):
         self.model = model
         self.r = r
-        self.seed = None
 
     def edge_weight(self, e: EdgeId) -> float:
         far = max(abs(c) for c in e.base[1:])
@@ -158,7 +152,7 @@ def test_greedy_concatenation_structure():
     m = WeightModel(family="exp", a=1.0, seed=37)
     chain = greedy_concatenation(m, 4, 5)
     assert len(chain) == 5
-    assert chain[0].value == slab_crossing_time(m, (0, 0, 0, 0), 0).value
+    assert chain[0].value == slab_crossing_time(m, (0, 0, 0, 0)).value
     exits = [hyperplane_index(s.exit_vertex) for s in chain]
     assert exits == [1, 2, 3, 4, 5]
 
@@ -176,14 +170,14 @@ def test_coupled_transform_never_slower_pathwise():
     cm = CouplingMap(target=WeightModel(family="uniform", a=1.0), rate=1.0)
     for seed in range(30):
         src = WeightModel(family="exp", a=1.0, seed=seed)
-        plain = slab_crossing_time(src, (0, 0, 0, 0), 0).value
-        coupled = slab_crossing_time(CoupledWeights(src, cm), (0, 0, 0, 0), 0).value
+        plain = slab_crossing_time(src, (0, 0, 0, 0)).value
+        coupled = slab_crossing_time(CoupledWeights(src, cm), (0, 0, 0, 0)).value
         assert coupled <= plain + 1e-12
 
 
 def test_single_edge_increase_never_speeds_up():
     base = WeightModel(family="exp", a=1.0, seed=99)
-    before = slab_crossing_time(base, (0, 0, 0), 0)
+    before = slab_crossing_time(base, (0, 0, 0))
     bumped_edges = [
         EdgeId((0, 0, 0), 0),
         EdgeId((0, 0, 0), 1),
@@ -192,13 +186,11 @@ def test_single_edge_increase_never_speeds_up():
     ]
     for e in bumped_edges:
         class Bumped:
-            seed = None
-
             def edge_weight(self, edge, _e=e):
                 w = base.edge_weight(edge)
                 return w + 5.0 if edge == _e else w
 
-        after = slab_crossing_time(Bumped(), (0, 0, 0), 0)
+        after = slab_crossing_time(Bumped(), (0, 0, 0))
         assert after.value >= before.value - 1e-15
 
 
@@ -215,7 +207,7 @@ def test_sampler_distributions_agree_smoke():
     slab_vals = np.array(
         [
             slab_crossing_time(
-                WeightModel(family="exp", a=1.0, seed=derive_seed(22, i)), (0,) * 5, 0
+                WeightModel(family="exp", a=1.0, seed=derive_seed(22, i)), (0,) * 5
             ).value
             for i in range(n)
         ]
@@ -248,15 +240,15 @@ def test_golden_values_fix_the_kernel():
     for family, d, seed, value, exit_vertex, settled in GOLDEN_CROSSINGS:
         m = WeightModel(family=family, a=1.0, seed=seed,
                         points=ATOM_TABLE if family == "table" else None)
-        s = slab_crossing_time(m, (0,) * d, 0)
+        s = slab_crossing_time(m, (0,) * d)
         assert (s.value.hex(), s.exit_vertex, s.settled_count) == (
             value, exit_vertex, settled), (family, d, seed)
     # off the origin, with a coordinate the key fold reduces mod 2^64
-    s = slab_crossing_time(WeightModel(family="exp", a=1.0, seed=11), (3, 1, -2), 3)
+    s = slab_crossing_time(WeightModel(family="exp", a=1.0, seed=11), (3, 1, -2))
     assert (s.value.hex(), s.exit_vertex, s.settled_count) == (
         "0x1.3c23a38a9d5b1p-1", (4, 2, -2), 4)
     s = slab_crossing_time(WeightModel(family="table", points=ATOM_TABLE, seed=11),
-                           (-2, 5, -7, 2**64), -2)
+                           (-2, 5, -7, 2**64))
     assert (s.value.hex(), s.exit_vertex, s.settled_count) == (
         "0x1.82cea652911c8p-2", (-1, 5, -7, 2**64 - 1), 8)
     assert point_to_hyperplane_time(

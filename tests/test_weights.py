@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,6 +213,15 @@ def test_model_validation():
         WeightModel(family="table", points=((0.0, 1.0), (0.5, 0.5)))  # x decreasing
     with pytest.raises(DomainError):
         WeightModel(family="exp", a=1.0, points=((0.0, 0.0), (1.0, 1.0)))  # not a table
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            WeightModel(family="uniform", a=bad)
+        with pytest.raises(DomainError):
+            WeightModel(family="table", points=((0.0, 0.0), (0.5, bad)))
+        with pytest.raises(DomainError):
+            WeightModel(family="table", points=((0.0, 0.0), (bad, 1.0)))
+        with pytest.raises(DomainError):
+            CouplingMap(target=WeightModel(family="exp", a=1.0), rate=bad)
 
 
 # small coordinates, and ones at or beyond the int64/uint64 edges, which the
@@ -279,11 +289,15 @@ def test_edge_weight_matches_reference_fold_bit_for_bit(family, a, points, data,
 
 
 def test_prefix_cache_leaves_model_identity_alone():
-    for family, points in (("exp", None), ("table", ATOM_TABLE)):
+    for family, points in (("exp", None), ("uniform", None), ("table", ATOM_TABLE)):
         filled = WeightModel(family=family, a=1.0, points=points, seed=5)
         fresh = WeightModel(family=family, a=1.0, points=points, seed=5)
         filled.edge_weight(EdgeId((0, 1, -2), 1))
         assert filled._prefix and not fresh._prefix
         assert filled == fresh and hash(filled) == hash(fresh)
         assert repr(filled) == repr(fresh) and "_prefix" not in repr(filled)
-        assert not filled.with_seed(6)._prefix
+        # with_seed skips the validation, yet builds the model replace() builds
+        child, replaced = filled.with_seed(6), replace(filled, seed=6)
+        assert child == replaced and hash(child) == hash(replaced)
+        assert repr(child) == repr(replaced)
+        assert not child._prefix and filled._prefix
