@@ -7,27 +7,23 @@ from .errors import (
     DomainError,
     FppError,
     InvariantViolation,
-    NotAdjacent,
     QuadratureFailure,
     SamplerMismatch,
     UnsupportedModel,
 )
-from .lattice import EdgeId, canonical_edge, hyperplane_index, origin
+from .lattice import EdgeId
 from .weights import (
     CoupledWeights,
     CouplingMap,
     WeightModel,
     couple_check,
     derive_seed,
-    model_from_config,
-    model_to_config,
     verify_density_condition,
 )
 from .slab import (
     PassageSample,
     greedy_concatenation,
     point_to_hyperplane_time,
-    point_to_point_time,
     slab_crossing_time,
 )
 from .eden import ClusterState, DrawSource, dhar_step, initial_cluster, sample_slab_crossing
@@ -37,7 +33,6 @@ from .bounds import (
     bound_report,
     first_moment_ub,
     integral_decomposition,
-    iso_min,
     perimeter_lower_bound,
     second_moment_ub,
 )
@@ -68,7 +63,6 @@ __all__ = [
     "ExperimentConfig",
     "FppError",
     "InvariantViolation",
-    "NotAdjacent",
     "PassageSample",
     "QuadratureFailure",
     "SamplerMismatch",
@@ -77,24 +71,17 @@ __all__ = [
     "WeightModel",
     "asymptote",
     "bound_report",
-    "canonical_edge",
     "concentration_curve",
     "couple_check",
     "derive_seed",
     "dhar_step",
     "first_moment_ub",
     "greedy_concatenation",
-    "hyperplane_index",
     "initial_cluster",
     "integral_decomposition",
-    "iso_min",
     "ks_statistic",
-    "model_from_config",
-    "model_to_config",
-    "origin",
     "perimeter_lower_bound",
     "point_to_hyperplane_time",
-    "point_to_point_time",
     "run_slab_mc",
     "sample_slab_crossing",
     "search_cross_probe",

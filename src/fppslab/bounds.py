@@ -68,25 +68,6 @@ def perimeter_lower_bound(d: int, i: int) -> float:
     return 2.0 * (d - 1) * float(i) ** ((d - 2) / (d - 1))
 
 
-def iso_min(d: int, i: int, ell: int) -> float:
-    """Edge-isoperimetric minimum for i cells in the box {0..ell}^(d-1).
-
-    Minimizes 2k i^(1-1/k) ell^((d-1)/k - 1) over k = 1..d-1; valid for
-    i at most half the box volume.
-    """
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-    if i < 1:
-        raise DomainError(f"cell count must be >= 1, got {i}")
-    if 2 * i > ell ** (d - 1):
-        raise DomainError(f"cell count {i} exceeds half the box volume ell^(d-1)/2")
-    fi, fl = float(i), float(ell)
-    return min(
-        2.0 * k * fi ** (1.0 - 1.0 / k) * fl ** ((d - 1.0) / k - 1.0)
-        for k in range(1, d)
-    )
-
-
 def asymptote(d: float, a: float) -> float:
     """High-dimensional limit log(d)/(2ad) of the mean crossing time."""
     if d < 2:

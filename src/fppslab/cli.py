@@ -23,14 +23,7 @@ import tempfile
 from pathlib import Path
 
 from .bounds import bound_report
-from .errors import (
-    ConfigError,
-    DomainError,
-    FppError,
-    NotAdjacent,
-    SamplerMismatch,
-    UnsupportedModel,
-)
+from .errors import ConfigError, DomainError, FppError, SamplerMismatch, UnsupportedModel
 from .experiments import (
     ExperimentConfig,
     concentration_curve,
@@ -39,12 +32,11 @@ from .experiments import (
     sample_crossing_values,
     search_cross_probe,
     subadditivity_check,
-    summarize,
     ui_tail,
 )
 from .weights import CouplingMap, WeightModel, couple_check
 
-_CONFIG_EXIT = (ConfigError, DomainError, UnsupportedModel, SamplerMismatch, NotAdjacent)
+_CONFIG_EXIT = (ConfigError, DomainError, UnsupportedModel, SamplerMismatch)
 
 
 def _fmt(v) -> str:
@@ -242,8 +234,6 @@ def _cmd_ui_tail(args) -> None:
 def _cmd_couple_check(args) -> None:
     model = _model_from_args(args)
     rate = args.rate if args.rate is not None else model.a
-    if rate is None:
-        raise ConfigError("couple-check needs --rate or a model rate --a")
     report = couple_check(CouplingMap(target=model, rate=rate), args.grid)
     header = ["t", "h", "ratio"]
     _emit(args, "couple-check",

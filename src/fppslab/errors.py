@@ -5,10 +5,6 @@ class FppError(Exception):
     """Base class for all package errors."""
 
 
-class NotAdjacent(FppError):
-    """Two lattice points passed as an edge are not nearest neighbors."""
-
-
 class DomainError(FppError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 

@@ -1,17 +1,14 @@
 """Geometry of the integer lattice Z^d.
 
 Points are plain tuples of ints, which keeps them hashable and cheap to
-use as dictionary keys. The serialization order used everywhere (weight
-oracle, debug dumps) is: dimension first, then coordinates in order.
-Python ints are unbounded, so coordinate overflow cannot occur; all
+use as dictionary keys. The weight oracle serializes an edge as its
+dimension, its axis, then the coordinates of its base in order. Python ints are unbounded, so coordinate overflow cannot occur; all
 experiments stay within |coord| < 1e4 anyway.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-from .errors import DomainError, NotAdjacent
 
 Point = tuple[int, ...]
 
@@ -26,46 +23,6 @@ class EdgeId(NamedTuple):
 
     base: Point
     axis: int
-
-
-def origin(d: int) -> Point:
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-    return (0,) * d
-
-
-def neighbors(p: Point) -> list[Point]:
-    """All 2d nearest neighbors of p, in the fixed order
-    axis 0 +, axis 0 -, axis 1 +, axis 1 -, ...
-    """
-    out = []
-    for k in range(len(p)):
-        out.append(p[:k] + (p[k] + 1,) + p[k + 1 :])
-        out.append(p[:k] + (p[k] - 1,) + p[k + 1 :])
-    return out
-
-
-def canonical_edge(p: Point, q: Point) -> EdgeId:
-    """EdgeId of the edge {p, q}; symmetric in its arguments."""
-    if len(p) != len(q):
-        raise NotAdjacent(f"dimension mismatch: {len(p)} vs {len(q)}")
-    axis = -1
-    for k in range(len(p)):
-        dk = q[k] - p[k]
-        if dk == 0:
-            continue
-        if dk not in (-1, 1) or axis >= 0:
-            raise NotAdjacent(f"{p} and {q} are not nearest neighbors")
-        axis = k
-    if axis < 0:
-        raise NotAdjacent(f"{p} equals {q}")
-    base = p if p[axis] < q[axis] else q
-    return EdgeId(base, axis)
-
-
-def hyperplane_index(p: Point) -> int:
-    """Index n of the hyperplane {x : x_1 = n} containing p."""
-    return p[0]
 
 
 def step(p: Point, axis: int, delta: int) -> Point:

@@ -4,9 +4,9 @@ Every search is one lazy best-first (Dijkstra) kernel over the implicit
 lattice: edge weights are generated on first touch through the seeded
 oracle, so no realization is ever materialized and only O(settled * d)
 edges are drawn. The kernel takes a start vertex and an allowed range
-lo <= x_1 <= hi; its targets are the plane x_1 = hi and, optionally, one
-goal vertex. The other coordinates are unbounded, so there is no box and
-no truncation error.
+lo <= x_1 <= hi; its targets are the vertices on the plane x_1 = hi. The
+other coordinates are unbounded, so there is no box and no truncation
+error.
 
 A target vertex enters the heap as a terminal entry and is never
 expanded. The search stops the moment the cheapest heap entry is a target,
@@ -17,8 +17,7 @@ before other entries, then lexicographic vertex order.
 
 The slab crossing from a start on plane k = start[0] is the search over
 k <= x_1 <= k + 1, so its target is x_1 = k + 1; the point-to-hyperplane
-time is the search over 0 <= x_1 <= n; the point-to-point time searches
-all of Z^d for the goal y.
+time is the search over 0 <= x_1 <= n.
 """
 
 from __future__ import annotations
@@ -44,16 +43,16 @@ class PassageSample:
     settled_count: int
 
 
-def _lazy_search(model, start: Point, lo: float, hi: float, goal: Point | None,
+def _lazy_search(model, start: Point, lo: int, hi: int,
                  settled_cap: int) -> tuple[float, Point, int]:
     """Dijkstra from ``start`` over the vertices with lo <= x_1 <= hi.
 
-    The targets are the vertices on the plane x_1 = hi and the vertex
-    ``goal``. Returns (value, target vertex, settled count) for the first
-    target to pop. A target enters the heap as a terminal entry that is
-    never expanded; on equal values it pops before any other entry, then in
-    lexicographic vertex order. Settling more than ``settled_cap`` vertices
-    raises BudgetExceeded.
+    The targets are the vertices on the plane x_1 = hi. Returns (value,
+    target vertex, settled count) for the first target to pop. A target
+    enters the heap as a terminal entry that is never expanded; on equal
+    values it pops before any other entry, then in lexicographic vertex
+    order. Settling more than ``settled_cap`` vertices raises
+    BudgetExceeded.
     """
     moves = [(axis, delta) for axis in range(len(start)) for delta in (1, -1)]
     edge_weight = model.edge_weight
@@ -79,8 +78,7 @@ def _lazy_search(model, start: Point, lo: float, hi: float, goal: Point | None,
             nd = val + edge_weight(EdgeId(v if delta > 0 else q, axis))
             if nd < dist.get(q, inf):
                 dist[q] = nd
-                target = q[0] == hi or q == goal
-                heapq.heappush(heap, (nd, _TARGET if target else _INNER, q))
+                heapq.heappush(heap, (nd, _TARGET if q[0] == hi else _INNER, q))
     raise BudgetExceeded("search exhausted without reaching a target")
 
 
@@ -97,7 +95,7 @@ def slab_crossing_time(model, start: Point, *,
     if len(start) < 2:
         raise DomainError(f"dimension must be >= 2, got {len(start)}")
     k = start[0]
-    return PassageSample(*_lazy_search(model, start, k, k + 1, None, settled_cap))
+    return PassageSample(*_lazy_search(model, start, k, k + 1, settled_cap))
 
 
 def point_to_hyperplane_time(model, d: int, n: int, *,
@@ -112,17 +110,7 @@ def point_to_hyperplane_time(model, d: int, n: int, *,
         raise DomainError(f"hyperplane index must be >= 1, got {n}")
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    return _lazy_search(model, (0,) * d, 0, n, None, settled_cap)[0]
-
-
-def point_to_point_time(model, x: Point, y: Point, *,
-                        settled_cap: int = DEFAULT_SETTLED_CAP) -> float:
-    """Exact passage time between x and y over all of Z^d."""
-    if x == y:
-        raise DomainError("endpoints must differ")
-    if len(x) != len(y):
-        raise DomainError("endpoints must share a dimension")
-    return _lazy_search(model, x, -inf, inf, y, settled_cap)[0]
+    return _lazy_search(model, (0,) * d, 0, n, settled_cap)[0]
 
 
 def greedy_concatenation(model, d: int, n: int, *,

@@ -102,10 +102,18 @@ def derive_seed(root_seed: int, *indices: int) -> int:
     return fold64(root_seed, indices)
 
 
+# the rates a accepted anywhere. Inside this range 1/a and a^2 are normal
+# doubles, every exp or uniform weight (in [2^-54/a, 38/a]) is finite and
+# > 0, every race step time is finite, and so are the squares of passage
+# times and bounds, which the variance and second-moment outputs take.
+# Far outside it a^2 under- or overflows and weights reach 0 or inf.
+RATE_MIN, RATE_MAX = 1e-100, 1e100
+
+
 def check_rate(a: float, name: str = "rate") -> None:
-    """Raise DomainError unless ``a`` is a finite number > 0."""
-    if not 0 < a < math.inf:
-        raise DomainError(f"{name} must be finite and > 0, got {a}")
+    """Raise DomainError unless RATE_MIN <= ``a`` <= RATE_MAX."""
+    if not RATE_MIN <= a <= RATE_MAX:
+        raise DomainError(f"{name} must lie in [{RATE_MIN:g}, {RATE_MAX:g}], got {a}")
 
 
 def bits_to_unit(h: int) -> float:
@@ -405,43 +413,3 @@ def couple_check(map_: CouplingMap, grid_size: int = 200) -> CoupleCheck:
             violations += 1
         prev_h = h
     return CoupleCheck(tuple(rows), sup_dev, violations)
-
-
-# -- config mapping ----------------------------------------------------------
-
-
-def model_from_config(cfg: dict) -> WeightModel:
-    """Build a WeightModel from its JSON form.
-
-    Accepted shapes: {"family":"exp","a":1.0}, {"family":"uniform","a":1.0},
-    {"family":"table","points":[[y,x],...]}, each optionally with "seed",
-    "a", "c", "eps0".
-    """
-    known = {"family", "a", "points", "seed", "c", "eps0"}
-    extra = set(cfg) - known
-    if extra:
-        raise DomainError(f"unknown weight-model keys: {sorted(extra)}")
-    points = cfg.get("points")
-    if points is not None:
-        points = tuple((float(y), float(x)) for y, x in points)
-    return WeightModel(
-        family=cfg.get("family", "exp"),
-        a=cfg.get("a"),
-        points=points,
-        seed=int(cfg.get("seed", 0)),
-        c=cfg.get("c"),
-        eps0=cfg.get("eps0"),
-    )
-
-
-def model_to_config(model: WeightModel) -> dict:
-    cfg: dict = {"family": model.family, "seed": model.seed}
-    if model.a is not None:
-        cfg["a"] = model.a
-    if model.points is not None:
-        cfg["points"] = [[y, x] for y, x in model.points]
-    if model.c is not None:
-        cfg["c"] = model.c
-    if model.eps0 is not None:
-        cfg["eps0"] = model.eps0
-    return cfg

@@ -1,9 +1,9 @@
 """Independent reference implementations used to check the real ones.
 
 These deliberately share no code with the package internals they verify:
-the slab oracle is a dense Bellman-Ford relaxation on an explicit truncated
-graph, the quantile oracle reconstructs the forward CDF from tabulated
-inverse pairs on a dense grid and scans for the infimum, the
+the slab and hyperplane oracles are a dense Bellman-Ford relaxation on an
+explicit truncated graph, the quantile oracle reconstructs the forward CDF
+from tabulated inverse pairs on a dense grid and scans for the infimum, the
 cheap-detour oracle is the probe's search with one scalar ``edge_weight``
 call per edge, the draw-source oracle turns each whole block of variates
 into a list at once, and the edge-weight oracle folds the whole edge key
@@ -22,24 +22,23 @@ from fppslab.lattice import EdgeId, step
 from fppslab.weights import bits_to_unit, fold64
 
 
-def slab_value_bruteforce(model, d: int, radius: int) -> float:
-    """Min-cost crossing with intermediate vertices in the in-plane box
-    [-radius, radius]^(d-1), by repeated relaxation to a fixed point."""
-    verts = list(itertools.product(range(-radius, radius + 1), repeat=d - 1))
+def hyperplane_value_bruteforce(model, d: int, n: int, radius: int) -> float:
+    """Min-cost passage from the origin to the plane x_1 = n with every
+    vertex before the last in the box 0 <= x_1 <= n - 1, |x_j| <= radius
+    (j >= 2), by repeated relaxation to a fixed point."""
+    box = [range(n)] + [range(-radius, radius + 1)] * (d - 1)
+    verts = list(itertools.product(*box))
     idx = {v: i for i, v in enumerate(verts)}
     edges = []
     for v in verts:
-        full = (0,) + v
-        for axis in range(1, d):
-            w = list(v)
-            w[axis - 1] += 1
-            wt = tuple(w)
-            if wt in idx:
-                weight = model.edge_weight(EdgeId(full, axis))
-                edges.append((idx[v], idx[wt], weight))
-                edges.append((idx[wt], idx[v], weight))
+        for axis in range(d):
+            w = step(v, axis, 1)
+            if w in idx:
+                weight = model.edge_weight(EdgeId(v, axis))
+                edges.append((idx[v], idx[w], weight))
+                edges.append((idx[w], idx[v], weight))
     dist = [inf] * len(verts)
-    dist[idx[(0,) * (d - 1)]] = 0.0
+    dist[idx[(0,) * d]] = 0.0
     changed = True
     while changed:
         changed = False
@@ -48,10 +47,14 @@ def slab_value_bruteforce(model, d: int, radius: int) -> float:
             if nd < dist[v]:
                 dist[v] = nd
                 changed = True
-    return min(
-        dist[i] + model.edge_weight(EdgeId((0,) + verts[i], 0))
-        for i in range(len(verts))
-    )
+    return min(dist[i] + model.edge_weight(EdgeId(v, 0))
+               for i, v in enumerate(verts) if v[0] == n - 1)
+
+
+def slab_value_bruteforce(model, d: int, radius: int) -> float:
+    """Min-cost crossing with intermediate vertices in the in-plane box
+    [-radius, radius]^(d-1): the passage to x_1 = 1 above."""
+    return hyperplane_value_bruteforce(model, d, 1, radius)
 
 
 def edge_weight_reference(model, e: EdgeId) -> float:

@@ -11,7 +11,6 @@ from fppslab.bounds import (
     default_truncation,
     first_moment_ub,
     integral_decomposition,
-    iso_min,
     perimeter_lower_bound,
     second_moment_ub,
 )
@@ -26,28 +25,6 @@ def test_perimeter_lower_bound_examples():
         assert perimeter_lower_bound(2, i) == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(DomainError):
         perimeter_lower_bound(3, 0)
-
-
-def test_iso_min_examples():
-    # at ell = i > 3 the minimum sits at the largest k and equals the
-    # perimeter floor
-    for d in (4, 5, 6):
-        for i in (4, 6, 9):
-            assert iso_min(d, i, i) == pytest.approx(
-                perimeter_lower_bound(d, i), rel=1e-12
-            )
-    assert iso_min(2, 3, 10) == pytest.approx(2.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        iso_min(3, 19, 6)  # 19 > 6^2 / 2
-
-
-def test_iso_min_monotone_in_cell_count():
-    for d in (3, 4, 5):
-        ell = 6
-        top = ell ** (d - 1) // 2
-        values = [iso_min(d, i, ell) for i in range(1, min(top, 40) + 1)]
-        for a, b in zip(values, values[1:]):
-            assert b >= a - 1e-12
 
 
 def test_first_moment_closed_form_flat_dimension():

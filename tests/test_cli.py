@@ -276,7 +276,16 @@ def test_config_value_is_typed_as_its_flag(tmp_path):
     ["sample-eden", "--d", "3", "--reps", "2", "--a", "inf"],
     ["sample-slab", "--d", "3", "--reps", "2", "--family", "table",
      "--points", "[[0,0],[0.5,NaN]]"],
-], ids=["bounds-a-inf", "slab-a-inf", "eden-a-inf", "table-nan-node"])
+    # finite rates outside weights.RATE_MIN..RATE_MAX
+    ["bounds", "--d", "3", "--a", "1e-320"],
+    ["bounds", "--d", "3", "--a", "1e-200"],
+    ["bounds", "--d", "3", "--a", "1e308"],
+    ["bounds", "--d", "3", "--a", "1e200"],
+    ["sample-eden", "--d", "3", "--reps", "2", "--a", "1e-320"],
+    ["sample-slab", "--d", "3", "--reps", "2", "--a", "1e-320"],
+], ids=["bounds-a-inf", "slab-a-inf", "eden-a-inf", "table-nan-node",
+        "bounds-a-1e-320", "bounds-a-1e-200", "bounds-a-1e308", "bounds-a-1e200",
+        "eden-a-1e-320", "slab-a-1e-320"])
 def test_non_finite_input_exits_2_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     code = run(argv + ["--out", str(out)])

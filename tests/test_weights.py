@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import replace
 
@@ -12,13 +11,14 @@ from hypothesis import strategies as st
 from fppslab.errors import DomainError, UnsupportedModel
 from fppslab.lattice import EdgeId
 from fppslab.weights import (
+    RATE_MAX,
+    RATE_MIN,
     CoupledWeights,
     CouplingMap,
     WeightModel,
+    bits_to_unit,
     couple_check,
     derive_seed,
-    model_from_config,
-    model_to_config,
     verify_density_condition,
 )
 
@@ -193,15 +193,6 @@ def test_couple_check_uniform_ratio_shape():
     assert ratios[0] == pytest.approx(1.0, abs=1e-6)  # h(t)/t -> 1 at 0
 
 
-def test_model_config_round_trip():
-    m = WeightModel(family="table", points=JUMP_TABLE, seed=9, a=0.3)
-    again = model_from_config(json.loads(json.dumps(model_to_config(m))))
-    assert again == m
-    assert model_from_config({"family": "exp", "a": 1.0}) == WeightModel(family="exp", a=1.0)
-    with pytest.raises(DomainError):
-        model_from_config({"family": "exp", "a": 1.0, "bogus": 3})
-
-
 def test_model_validation():
     with pytest.raises(DomainError):
         WeightModel(family="exp", a=0.0)
@@ -222,6 +213,23 @@ def test_model_validation():
             WeightModel(family="table", points=((0.0, 0.0), (bad, 1.0)))
         with pytest.raises(DomainError):
             CouplingMap(target=WeightModel(family="exp", a=1.0), rate=bad)
+    # finite rates whose a^2 or weights leave the doubles
+    for extreme in (1e-320, 1e-200, 1e200, 1e308):
+        with pytest.raises(DomainError):
+            WeightModel(family="exp", a=extreme)
+        with pytest.raises(DomainError):
+            CouplingMap(target=WeightModel(family="exp", a=1.0), rate=extreme)
+
+
+def test_rate_range_ends_keep_weights_and_squares_finite():
+    for a in (RATE_MIN, RATE_MAX):
+        assert 0.0 < a * a < math.inf
+        for family in ("exp", "uniform"):
+            m = WeightModel(family=family, a=a)
+            # the smallest oracle uniform and the largest quantile argument
+            for y in (bits_to_unit(0), 1.0 - 2.0**-53):
+                w = m.quantile(y)
+                assert 0.0 < w * w < math.inf, (a, family, y)
 
 
 # small coordinates, and ones at or beyond the int64/uint64 edges, which the
