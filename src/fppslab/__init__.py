@@ -26,7 +26,7 @@ from .slab import (
     point_to_hyperplane_time,
     slab_crossing_time,
 )
-from .eden import ClusterState, DrawSource, dhar_step, initial_cluster, sample_slab_crossing
+from .eden import DrawSource, sample_slab_crossing
 from .bounds import (
     BoundReport,
     asymptote,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "BudgetExceeded",
-    "ClusterState",
     "ConfigError",
     "CoupledWeights",
     "CouplingMap",
@@ -74,10 +73,8 @@ __all__ = [
     "concentration_curve",
     "couple_check",
     "derive_seed",
-    "dhar_step",
     "first_moment_ub",
     "greedy_concatenation",
-    "initial_cluster",
     "integral_decomposition",
     "ks_statistic",
     "perimeter_lower_bound",

@@ -25,6 +25,7 @@ from pathlib import Path
 from .bounds import bound_report
 from .errors import ConfigError, DomainError, FppError, SamplerMismatch, UnsupportedModel
 from .experiments import (
+    SAMPLERS,
     ExperimentConfig,
     concentration_curve,
     replicate_seeds,
@@ -34,7 +35,7 @@ from .experiments import (
     subadditivity_check,
     ui_tail,
 )
-from .weights import CouplingMap, WeightModel, couple_check
+from .weights import FAMILIES, CouplingMap, WeightModel, couple_check
 
 _CONFIG_EXIT = (ConfigError, DomainError, UnsupportedModel, SamplerMismatch)
 
@@ -280,7 +281,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
         arg(sp, "--format", choices=("csv", "json"), default="csv")
         arg(sp, "--config", help="JSON file supplying any of these values")
         if model:
-            arg(sp, "--family", choices=("exp", "uniform", "table"), default="exp")
+            arg(sp, "--family", choices=FAMILIES, default="exp")
             arg(sp, "--a", type=float, default=1.0, help="density of F at 0+")
             arg(sp, "--points", help="table family quantile nodes as JSON [[y,x],...]")
         if experiment:
@@ -306,7 +307,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
     sp = sub.add_parser("concentration", help="exceedance curve of the normalized statistic")
     add_common(sp)
     arg(sp, "--eta", type=float, needed=True)
-    arg(sp, "--sampler", choices=("eden", "slab"), default="eden")
+    arg(sp, "--sampler", choices=SAMPLERS, default="eden")
     handlers["concentration"] = _cmd_concentration
 
     sp = sub.add_parser("subadd", help="direct vs concatenated hyperplane passage")
@@ -321,7 +322,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
     sp = sub.add_parser("ui-tail", help="truncated mean of the normalized statistic")
     add_common(sp)
     arg(sp, "--M", type=float, needed=True)
-    arg(sp, "--sampler", choices=("eden", "slab"), default="eden")
+    arg(sp, "--sampler", choices=SAMPLERS, default="eden")
     handlers["ui-tail"] = _cmd_ui_tail
 
     sp = sub.add_parser("couple-check", help="tabulate the coupling map near zero")

@@ -10,59 +10,55 @@ a perimeter edge infects one new vertex. The time at which the first
 forward edge is crossed has exactly the law of the slab crossing time, so
 sampling costs O(cluster size) instead of a full shortest-path search.
 
-Per-step bookkeeping is kept O(d) with small constants:
+One race is one ``_Cluster``, and a step is its ``pick`` then its
+``grow``. Per-step bookkeeping is kept O(d) with small constants:
 
 * vertices carry 64-bit keys under a random linear hash, so all 2(d-1)
   in-plane neighbor keys of a vertex are one vectorized add away;
-* the uniform perimeter-edge choice uses rejection over (vertex, direction)
-  pairs: a pair maps to a perimeter edge exactly when its head is healthy,
-  and each perimeter edge has exactly one infected endpoint, so accepted
-  pairs are uniform over perimeter edges. Acceptance probability is
-  S / (2(d-1) i) >= i^(-1/(d-1)), close to 1 in high dimension;
-* S is updated from the count k of already-infected neighbors of the new
-  vertex: S' = S + 2(d-1) - 2k. The reference counts k by definition, as
-  the size of the intersection of the 2(d-1) neighbor keys with the exact
-  key set.
+* ``pick`` takes the step's draws: the exponential holding time, the
+  crossed edge, then, for a perimeter edge, rejection over (vertex,
+  direction) pairs. A pair maps to a perimeter edge exactly when its head
+  is healthy, and each perimeter edge has exactly one infected endpoint, so
+  accepted pairs are uniform over perimeter edges. Acceptance probability
+  is S / (2(d-1) i) >= i^(-1/(d-1)), close to 1 in high dimension;
+* ``grow`` adds the new vertex given the count k of its infected
+  neighbors, S' = S + 2(d-1) - 2k, and checks S against the bounds every
+  connected cluster obeys and the cluster size against its cap.
 
-Distinct vertices collide under the linear hash with probability ~2^-64
-per pair; ``validate=True`` recomputes everything from exact coordinates
-and would surface such an event (and any bookkeeping bug) immediately.
+Only the count k differs between the two races:
 
-``sample_slab_crossing``, ``dhar_step`` and ``ClusterState`` are the
-reference: one replicate, stepped in public, with coordinates kept for
-``validate=True``. ``race_values`` computes many replicates' values in a
-lockstep race whose numpy work per step is shared, and returns exactly
-the values the reference gives, bit for bit:
-
-* each replicate draws from its own ``DrawSource``, seeded as the
-  reference seeds it, and takes its draws in ``dhar_step``'s order (the
-  exponential, the edge choice, then the rejection draws), so every
-  variate it sees is the one the reference sees;
-* each replicate keeps its own key list, exact key set and S, and runs the
-  same perimeter-bound check and cluster-cap check after every step;
-* only the neighbor scan is shared, and it is the one place in this
-  module that uses a presence filter: per lockstep step, one add of the
-  2(d-1) direction deltas to every stepping replicate's new key, one mask
-  and one gather from a filter that holds the keys of all live
-  replicates, each offset by a salt of its own. A hit counts only once the
-  replicate's own key set holds the unsalted neighbor key, so the filter,
-  its salts and its stale entries (keys of finished replicates, dropped at
-  the next rebuild) change how many lookups are made, never a count. The
-  one neighbor known to be infected, the vertex the new one was reached
-  from, is counted without a lookup, as the reference's exact count
-  includes it.
+* ``sample_slab_crossing`` is the reference. It steps one cluster, counts
+  k exactly, as the size of the intersection of the 2(d-1) neighbor keys
+  with the cluster's key set, and keeps coordinates for the exit vertex
+  and for ``validate=True``, which recomputes S from them after every
+  step. Distinct vertices collide under the linear hash with probability
+  ~2^-64 per pair; validation would surface such an event (and any
+  bookkeeping bug) immediately.
+* ``race_values`` steps up to ``_RACE_SLOTS`` clusters in lockstep and
+  returns exactly the values the reference gives, bit for bit. Each
+  cluster draws from its own ``DrawSource``, seeded as the reference seeds
+  it, through the same ``pick``, so every variate it sees is the one the
+  reference sees. Only the neighbor scan is shared, and it is the one place
+  in this module that uses a presence filter: per lockstep step, one add of
+  the 2(d-1) direction deltas to every stepping cluster's new key, one mask
+  and one gather from a filter that holds the keys of all live clusters,
+  each offset by a salt of its own. A hit counts only once the cluster's
+  own key set holds the unsalted neighbor key, so the filter, its salts and
+  its stale entries (keys of finished clusters, dropped at the next
+  rebuild) change how many lookups are made, never a count. The one
+  neighbor known to be infected, the vertex the new one was reached from,
+  is counted without a lookup, as the reference's exact count includes it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, InvariantViolation
-from .lattice import EdgeId, Point, step
+from .lattice import Point, step
 from .slab import PassageSample
 from .weights import U64, check_rate, fold64
 
@@ -110,9 +106,8 @@ class DrawSource:
     1024, every one of 40 d = 50 samples changes). A block is turned into
     Python floats ``_CHUNK`` at a time, which keeps the per-draw cost one
     generator step without converting variates a short race never uses.
-    The reference race, which counts neighbors by exact key-set lookup, and
-    the lockstep race, the only one with a presence filter, take their
-    draws from it in the same order, so no filter can touch the stream.
+    Every draw goes through ``_Cluster.pick``, in the reference race and
+    in the lockstep race alike, so no presence filter can touch the stream.
     """
 
     BLOCK = 4096
@@ -142,72 +137,18 @@ class DrawSource:
         return next(self._exp)
 
 
-@dataclass
-class ClusterState:
-    """Mutable state of one exploration run.
-
-    ``coords`` holds the in-plane coordinates (axes 2..d of the lattice) of
-    infected vertices in infection order; the start hyperplane coordinate is
-    implicitly 0. ``perimeter_count`` is S, maintained incrementally and
-    recomputable from scratch via ``perimeter_size_recomputed``. ``keys``
-    lists the vertex keys in infection order, and ``keyset`` holds the same
-    keys for exact membership.
-    """
-
-    dimension: int
-    rate: float
-    coords: list[Point] = field(default_factory=list)
-    keys: list[int] = field(default_factory=list)
-    keyset: set[int] = field(default_factory=set)
-    perimeter_count: int = 0
-    elapsed: float = 0.0
-    exited: bool = False
-    exit_vertex: Point | None = None
-
-    @property
-    def infected_count(self) -> int:
-        return len(self.coords)
-
-    def perimeter_edges(self) -> set[EdgeId]:
-        """Perimeter edge set rebuilt from scratch (exact, O(i * d))."""
-        cells = set(self.coords)
-        edges: set[EdgeId] = set()
-        for u in self.coords:
-            for j in range(self.dimension - 1):
-                for delta in (1, -1):
-                    w = u[:j] + (u[j] + delta,) + u[j + 1 :]
-                    if w in cells:
-                        continue
-                    base = u if delta > 0 else w
-                    edges.add(EdgeId((0,) + base, j + 1))
-        return edges
-
-    def perimeter_size_recomputed(self) -> int:
-        return len(self.perimeter_edges())
-
-
 def _check_domain(d: int, a: float) -> None:
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
     check_rate(a)
 
 
-def initial_cluster(d: int, a: float = 1.0) -> ClusterState:
-    """Singleton cluster at the origin: i = 1, S = 2(d-1)."""
-    _check_domain(d, a)
-    return ClusterState(
-        dimension=d,
-        rate=a,
-        coords=[(0,) * (d - 1)],
-        keys=[0],
-        keyset={0},
-        perimeter_count=2 * (d - 1),
-    )
-
-
 def _check_perimeter_bounds(d: int, i: int, S: int) -> None:
-    if S > (2 * d - 1) * i:
-        raise InvariantViolation(f"perimeter {S} above (2d-1)i = {(2 * d - 1) * i}")
+    # a connected cluster of i vertices has at least i - 1 internal edges,
+    # and each takes two of the 2(d-1)i in-plane edge ends off the perimeter
+    s_max = 2 * (d - 1) * i - 2 * (i - 1)
+    if S > s_max:
+        raise InvariantViolation(f"perimeter {S} above 2(d-1)i - 2(i-1) = {s_max}")
     if d >= 4:
         s_i = 2.0 * (d - 1) * i ** ((d - 2) / (d - 1))
         if S + 1e-6 < s_i:  # slack absorbs float pow rounding at exact powers
@@ -216,59 +157,91 @@ def _check_perimeter_bounds(d: int, i: int, S: int) -> None:
             )
 
 
-def dhar_step(state: ClusterState, source: DrawSource, *,
-              validate: bool = False) -> bool:
-    """Advance the race by one crossed edge, in place; returns whether the
-    crossed edge was a forward one, which ends the race.
+_SALT_STEP = 0x9E37_79B9_7F4A_7C15  # Weyl step: replicate r's keys are offset by (r + 1) * step
 
-    After an exit the state is frozen and further steps raise.
-    """
-    if state.exited:
-        raise DomainError("cluster already exited; state is frozen")
-    tables = _dir_tables(state.dimension)
-    i = len(state.coords)
-    total = i + state.perimeter_count
-    state.elapsed += source.exponential() / (state.rate * total)
 
-    j = int(source.uniform() * total)
-    if j >= total:
-        j = total - 1
-    if j < i:
-        state.exited = True
-        state.exit_vertex = (1,) + state.coords[j]
-        return True
+class _Cluster:
+    """One race: its draw streams, its vertex keys in infection order and
+    the same keys as a set, S, the elapsed time, the salt that offsets its
+    keys in the lockstep filter, and the vertex its last ``pick`` chose.
+    The origin's key is 0."""
 
-    m = tables.n_dirs
-    c_step = tables.c_step
-    keys = state.keys
-    keyset = state.keyset
-    pairs = i * m
-    while True:
-        t = int(source.uniform() * pairs)
-        if t >= pairs:
-            t = pairs - 1
-        u_idx, dirn = divmod(t, m)
-        wk = (keys[u_idx] + c_step[dirn]) & U64
-        if wk not in keyset:
-            break
+    __slots__ = ("d", "rate", "cap", "c_step", "uniform", "exponential", "keys",
+                 "keyset", "perimeter", "elapsed", "rep", "salt",
+                 "new_key", "new_dir", "parent")
 
-    # k: the infected neighbors of the new vertex, the one it was reached from included
-    k = len(keyset.intersection((np.uint64(wk) + tables.c_signed).tolist()))
-    state.perimeter_count += m - 2 * k
-    state.coords.append(step(state.coords[u_idx], dirn >> 1, 1 - 2 * (dirn & 1)))
-    keys.append(wk)
-    keyset.add(wk)
+    def __init__(self, d: int, a: float, seed: int, cluster_cap: int, rep: int = 0):
+        source = DrawSource.from_seed(seed)
+        self.d = d
+        self.rate = a
+        self.cap = cluster_cap
+        self.c_step = _dir_tables(d).c_step
+        self.uniform = source.uniform
+        self.exponential = source.exponential
+        self.keys = [0]
+        self.keyset = {0}
+        self.perimeter = 2 * (d - 1)
+        self.elapsed = 0.0
+        self.rep = rep
+        self.salt = ((rep + 1) * _SALT_STEP) & U64
+        self.new_key = self.new_dir = self.parent = 0
 
-    if validate:
-        if len(keyset) != len(state.coords) or len(set(state.coords)) != len(state.coords):
-            raise InvariantViolation("vertex key collision in cluster bookkeeping")
-        exact = state.perimeter_size_recomputed()
-        if exact != state.perimeter_count:
-            raise InvariantViolation(
-                f"incremental perimeter {state.perimeter_count} != recomputed {exact}"
-            )
-    _check_perimeter_bounds(state.dimension, len(keys), state.perimeter_count)
-    return False
+    def pick(self) -> int | None:
+        """Draw one step: the holding time, the crossed edge, then the
+        rejection draws for a perimeter edge. Returns the index of the
+        vertex whose forward edge was crossed, which ends the race, or None
+        after recording the new vertex's key, its direction and the index
+        of the vertex it was reached from."""
+        keys = self.keys
+        i = len(keys)
+        total = i + self.perimeter
+        self.elapsed += self.exponential() / (self.rate * total)
+        j = int(self.uniform() * total)
+        if j >= total:
+            j = total - 1
+        if j < i:
+            return j
+
+        c_step = self.c_step
+        m = len(c_step)
+        pairs = i * m
+        keyset = self.keyset
+        uniform = self.uniform
+        while True:
+            t = int(uniform() * pairs)
+            if t >= pairs:
+                t = pairs - 1
+            u_idx, dirn = divmod(t, m)
+            wk = (keys[u_idx] + c_step[dirn]) & U64
+            if wk not in keyset:
+                break
+        self.new_key = wk
+        self.new_dir = dirn
+        self.parent = u_idx
+        return None
+
+    def grow(self, k: int) -> None:
+        """Infect the picked vertex, which has k infected neighbors."""
+        self.perimeter += len(self.c_step) - 2 * k
+        self.keys.append(self.new_key)
+        self.keyset.add(self.new_key)
+        i = len(self.keys)
+        _check_perimeter_bounds(self.d, i, self.perimeter)
+        if i >= self.cap:
+            raise BudgetExceeded(f"cluster grew past cap {self.cap} without exiting")
+
+
+def _check_against_coords(cluster: _Cluster, coords: list[Point]) -> None:
+    """Recompute the key count and S from exact coordinates (O(i * d^2))."""
+    cells = set(coords)
+    if len(cluster.keyset) != len(coords) or len(cells) != len(coords):
+        raise InvariantViolation("vertex key collision in cluster bookkeeping")
+    # each perimeter edge has exactly one infected end, so it is counted once
+    exact = sum(u[:j] + (u[j] + delta,) + u[j + 1:] not in cells
+                for u in coords for j in range(len(u)) for delta in (1, -1))
+    if exact != cluster.perimeter:
+        raise InvariantViolation(
+            f"incremental perimeter {cluster.perimeter} != recomputed {exact}")
 
 
 def sample_slab_crossing(d: int, a: float = 1.0, seed: int = 0, *,
@@ -277,42 +250,29 @@ def sample_slab_crossing(d: int, a: float = 1.0, seed: int = 0, *,
     """Sample one slab crossing time by running the race to its first exit.
 
     Distributionally equal to ``slab_crossing_time`` under Exponential(a)
-    weights. The draws come from ``DrawSource.from_seed(seed)``.
+    weights. The draws come from ``DrawSource.from_seed(seed)``. Raises
+    ``BudgetExceeded`` once a step grows the cluster to ``cluster_cap``
+    vertices.
     """
-    state = initial_cluster(d, a)
-    source = DrawSource.from_seed(seed)
-    while True:
-        if dhar_step(state, source, validate=validate):
-            return PassageSample(state.elapsed, state.exit_vertex, state.infected_count)
-        if state.infected_count >= cluster_cap:
-            raise BudgetExceeded(f"cluster grew past cap {cluster_cap} without exiting")
+    _check_domain(d, a)
+    c_signed = _dir_tables(d).c_signed
+    cluster = _Cluster(d, a, seed, cluster_cap)
+    keyset = cluster.keyset
+    coords = [(0,) * (d - 1)]  # in-plane coordinates, in infection order
+    while (exit_idx := cluster.pick()) is None:
+        # k: the infected neighbors of the new vertex, the one it was reached from included
+        k = len(keyset.intersection((np.uint64(cluster.new_key) + c_signed).tolist()))
+        dirn = cluster.new_dir
+        coords.append(step(coords[cluster.parent], dirn >> 1, 1 - 2 * (dirn & 1)))
+        cluster.grow(k)
+        if validate:
+            _check_against_coords(cluster, coords)
+    return PassageSample(cluster.elapsed, (1,) + coords[exit_idx], len(coords))
 
 
 _RACE_SLOTS = 32          # replicates advanced in lockstep
 _RACE_MIN_BITS = 16       # shared filter size floor: 65536 entries
 _RACE_LOAD_SHIFT = 6      # rebuild once the keys added since the last build exceed size / 64
-_SALT_STEP = 0x9E37_79B9_7F4A_7C15  # Weyl step: replicate r's keys are offset by (r + 1) * step
-
-
-class _Replicate:
-    """One replicate of the lockstep race: what ``dhar_step`` keeps of a
-    cluster except its coordinates, plus the replicate's filter salt."""
-
-    __slots__ = ("rep", "uniform", "exponential", "keys", "keyset", "perimeter",
-                 "elapsed", "salt", "new_key", "new_dir")
-
-    def __init__(self, rep: int, seed: int, n_dirs: int):
-        source = DrawSource.from_seed(seed)
-        self.rep = rep
-        self.uniform = source.uniform
-        self.exponential = source.exponential
-        self.keys = [0]
-        self.keyset = {0}
-        self.perimeter = n_dirs
-        self.elapsed = 0.0
-        self.salt = ((rep + 1) * _SALT_STEP) & U64
-        self.new_key = 0
-        self.new_dir = 0
 
 
 class _SaltedFilter:
@@ -326,8 +286,8 @@ class _SaltedFilter:
     about 1/1000 or less.
     """
 
-    def __init__(self, live: list[_Replicate]):
-        n = sum(len(rp.keys) for rp in live)
+    def __init__(self, live: list[_Cluster]):
+        n = sum(len(cl.keys) for cl in live)
         bits = max(_RACE_MIN_BITS, ((2 * n) << _RACE_LOAD_SHIFT).bit_length())
         self.table = np.zeros(1 << bits, dtype=bool)
         self.mask = np.uint64((1 << bits) - 1)
@@ -335,7 +295,7 @@ class _SaltedFilter:
         self.added = 0
         if live:
             self.add(np.concatenate(
-                [np.array(rp.keys, dtype=np.uint64) + np.uint64(rp.salt) for rp in live]))
+                [np.array(cl.keys, dtype=np.uint64) + np.uint64(cl.salt) for cl in live]))
 
     def add(self, salted: np.ndarray) -> None:
         # masked or shifted keys fit in int64, and an int64 index spares numpy a cast
@@ -372,44 +332,24 @@ def race_values(d: int, a: float, seeds, *,
     seeds = list(seeds)
     out = np.empty(len(seeds), dtype=np.float64)
     queue = iter(enumerate(seeds))
-    live: list[_Replicate | None] = [
-        _Replicate(rep, seed, m) for rep, seed in itertools.islice(queue, _RACE_SLOTS)]
+    live: list[_Cluster | None] = [
+        _Cluster(d, a, seed, cluster_cap, rep)
+        for rep, seed in itertools.islice(queue, _RACE_SLOTS)]
     filt = _SaltedFilter(live)
 
     while live:
-        # per replicate, in dhar_step's draw order: exit, or pick the new vertex
-        for slot, rp in enumerate(live):
-            while True:
-                keys = rp.keys
-                i = len(keys)
-                total = i + rp.perimeter
-                rp.elapsed += rp.exponential() / (a * total)
-                j = int(rp.uniform() * total)
-                if j >= total:
-                    j = total - 1
-                if j < i:
-                    out[rp.rep] = rp.elapsed
-                    nxt = next(queue, None)
-                    rp = live[slot] = None if nxt is None else _Replicate(*nxt, m)
-                    if rp is None:
-                        break
-                    filt.add(np.array([rp.salt], dtype=np.uint64))
-                    continue
-                pairs = i * m
-                keyset = rp.keyset
-                uniform = rp.uniform
-                while True:
-                    t = int(uniform() * pairs)
-                    if t >= pairs:
-                        t = pairs - 1
-                    u_idx, dirn = divmod(t, m)
-                    wk = (keys[u_idx] + c_step[dirn]) & U64
-                    if wk not in keyset:
-                        break
-                rp.new_key = wk
-                rp.new_dir = dirn
-                break
-        live = [rp for rp in live if rp is not None]
+        # each cluster picks its new vertex; one that exits hands its slot on
+        for slot, cl in enumerate(live):
+            while cl.pick() is not None:
+                out[cl.rep] = cl.elapsed
+                nxt = next(queue, None)
+                if nxt is None:
+                    live[slot] = None
+                    break
+                rep, seed = nxt
+                cl = live[slot] = _Cluster(d, a, seed, cluster_cap, rep)
+                filt.add(np.array([cl.salt], dtype=np.uint64))
+        live = [cl for cl in live if cl is not None]
         if not live:
             break
 
@@ -417,24 +357,18 @@ def race_values(d: int, a: float, seeds, *,
         # neighbor back across the chosen direction is the infected vertex
         # the new one was reached from (direction pairs sit at 2j, 2j + 1),
         # so it is counted without a lookup.
-        salted = np.array([(rp.new_key + rp.salt) & U64 for rp in live], dtype=np.uint64)
-        came_from = [r * m + (rp.new_dir ^ 1) for r, rp in enumerate(live)]
+        salted = np.array([(cl.new_key + cl.salt) & U64 for cl in live], dtype=np.uint64)
+        came_from = [r * m + (cl.new_dir ^ 1) for r, cl in enumerate(live)]
         infected_nbrs = [1] * len(live)
         for hit in filt.hits((salted[:, None] + c_signed).ravel(), came_from):
             r, c = divmod(hit, m)
-            rp = live[r]
-            if (rp.new_key + c_step[c]) & U64 in rp.keyset:
+            cl = live[r]
+            if (cl.new_key + c_step[c]) & U64 in cl.keyset:
                 infected_nbrs[r] += 1
         filt.add(salted)
 
-        for rp, k in zip(live, infected_nbrs):
-            rp.perimeter += m - 2 * k
-            rp.keys.append(rp.new_key)
-            rp.keyset.add(rp.new_key)
-            i = len(rp.keys)
-            _check_perimeter_bounds(d, i, rp.perimeter)
-            if i >= cluster_cap:
-                raise BudgetExceeded(f"cluster grew past cap {cluster_cap} without exiting")
+        for cl, k in zip(live, infected_nbrs):
+            cl.grow(k)
         if filt.full():
             filt = None  # drop the old table before the new one is built
             filt = _SaltedFilter(live)

@@ -23,11 +23,13 @@ returns the weights of the two edges along each axis at v (the edge to
 v + e_axis, then the edge to v - e_axis) and hashes all their keys in
 lockstep as numpy ``uint64`` arrays, one vectorized SplitMix64 round per
 key word. uint64 arithmetic wraps mod 2^64 exactly like the scalar fold,
-and the bits-to-unit map is exact in doubles, so the uniforms are the
-scalar ones bit for bit. The quantile step stays scalar: ``np.log1p``
-differs from ``math.log1p`` in the last ulp on about 10% of inputs, so a
-vectorized quantile would change the weights. Each weight therefore goes
-through ``quantile`` one at a time, exactly as in ``edge_weight``.
+and the bits-to-unit map rounds the same in numpy as in Python (its
++ 0.5 rounds to even above 2^52 in both, and both clamp 1.0 to
+``_Y_MAX``), so the uniforms are the scalar ones bit for bit. The quantile
+step stays scalar: ``np.log1p`` differs from ``math.log1p`` in the last
+ulp on about 10% of inputs, so a vectorized quantile would change the
+weights. Each weight therefore goes through ``quantile`` one at a time,
+exactly as in ``edge_weight``.
 
 Supported families:
 
@@ -55,7 +57,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 FAMILIES = ("exp", "uniform", "table")
 
-# largest argument quantile() accepts; couple() clamps here for huge t
+# largest argument quantile() accepts; bits_to_unit clamps 1.0 here, and
+# couple() clamps here for huge t
 _Y_MAX = 1.0 - 2.0**-53
 
 # mix64's constants as numpy scalars, for the batch oracle
@@ -117,12 +120,15 @@ def check_rate(a: float, name: str = "rate") -> None:
 
 
 def bits_to_unit(h: int) -> float:
-    """Map 64 hashed bits to a double in the open interval (0, 1).
+    """Map 64 hashed bits to a double in [2^-54, 1 - 2^-53].
 
-    Uses the top 53 bits offset by half an ulp, so 0.0 and 1.0 are
-    unreachable and every weight is strictly positive.
+    Uses the top 53 bits n offset by half: (n + 0.5) * 2^-53. Above 2^52
+    the sum is rounded to even, so n = 2^53 - 1 would give 1.0; that unit
+    is clamped to ``_Y_MAX``. 0.0 is unreachable, so every exp or uniform
+    weight is strictly positive.
     """
-    return ((h >> 11) + 0.5) * 2.0**-53
+    u = ((h >> 11) + 0.5) * 2.0**-53
+    return u if u < 1.0 else _Y_MAX
 
 
 @dataclass(frozen=True)
@@ -274,7 +280,7 @@ class WeightModel:
             h += _GOLDEN_U
             h ^= w
             _mix64_inplace(h)
-        units = (((h >> 11).astype(np.float64) + 0.5) * 2.0**-53).tolist()
+        units = np.minimum(((h >> 11).astype(np.float64) + 0.5) * 2.0**-53, _Y_MAX).tolist()
         return [self.quantile(u) for u in units]
 
     def with_seed(self, seed: int) -> "WeightModel":

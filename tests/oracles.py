@@ -7,7 +7,9 @@ from tabulated inverse pairs on a dense grid and scans for the infimum, the
 cheap-detour oracle is the probe's search with one scalar ``edge_weight``
 call per edge, the draw-source oracle turns each whole block of variates
 into a list at once, and the edge-weight oracle folds the whole edge key
-from the seed on every call, with no cached state.
+from the seed on every call, with no cached state. ``unmix64`` inverts
+the hash's finalizer, so a test can build an edge whose key hashes to
+chosen bits.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import inf
 import numpy as np
 
 from fppslab.lattice import EdgeId, step
-from fppslab.weights import bits_to_unit, fold64
+from fppslab.weights import U64, bits_to_unit, fold64
 
 
 def hyperplane_value_bruteforce(model, d: int, n: int, radius: int) -> float:
@@ -55,6 +57,21 @@ def slab_value_bruteforce(model, d: int, radius: int) -> float:
     """Min-cost crossing with intermediate vertices in the in-plane box
     [-radius, radius]^(d-1): the passage to x_1 = 1 above."""
     return hyperplane_value_bruteforce(model, d, 1, radius)
+
+
+def unmix64(z: int) -> int:
+    """Inverse of ``mix64``: each xorshift and odd multiply undone in reverse."""
+    def unshift(y: int, s: int) -> int:
+        x = y
+        for _ in range(64 // s):  # each pass recovers s more top bits
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z & U64, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & U64
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & U64
+    return unshift(z, 30)
 
 
 def edge_weight_reference(model, e: EdgeId) -> float:

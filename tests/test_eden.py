@@ -8,87 +8,69 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fppslab.bounds import first_moment_ub, perimeter_lower_bound
-from fppslab.eden import (
-    DrawSource,
-    dhar_step,
-    initial_cluster,
-    race_values,
-    sample_slab_crossing,
-)
-from fppslab.errors import BudgetExceeded, DomainError
+from fppslab.bounds import first_moment_ub
+from fppslab.eden import DrawSource, _check_perimeter_bounds, race_values, sample_slab_crossing
+from fppslab.errors import BudgetExceeded, DomainError, InvariantViolation
 from fppslab.weights import derive_seed
 from oracles import DrawSourceReference
 
 
-def test_initial_singleton_counts():
-    for d in (2, 3, 5, 12):
-        state = initial_cluster(d)
-        assert state.infected_count == 1
-        assert state.perimeter_count == 2 * (d - 1)
-        assert {(0,) + c for c in state.coords} == {(0,) * d}
-        assert state.perimeter_size_recomputed() == 2 * (d - 1)
-
-
 def test_d2_singleton_exit_probability_one_third():
+    # at d = 2 the singleton has one forward edge and two perimeter edges
     n = 4000
-    exits = 0
-    for i in range(n):
-        state = initial_cluster(2)
-        exits += dhar_step(state, DrawSource.from_seed(derive_seed(31, i)))
+    exits = sum(sample_slab_crossing(2, 1.0, derive_seed(31, i)).settled_count == 1
+                for i in range(n))
     p = exits / n
     se = math.sqrt((1 / 3) * (2 / 3) / n)
     assert abs(p - 1 / 3) < 3 * se
 
 
 def test_first_increment_mean_matches_race_rate():
+    # a race's first clock is independent of the edge it picks, so the
+    # samples that exit at the first step have the law of that clock
     d, a, n = 6, 2.0, 4000
     rate = a * (2 * d - 1)
-    incs = []
-    for i in range(n):
-        state = initial_cluster(d, a)
-        dhar_step(state, DrawSource.from_seed(derive_seed(32, i)))
-        incs.append(state.elapsed)
+    samples = (sample_slab_crossing(d, a, derive_seed(32, i)) for i in range(n))
+    incs = [s.value for s in samples if s.settled_count == 1]
+    assert len(incs) > 200
     mean = float(np.mean(incs))
-    se = (1.0 / rate) / math.sqrt(n)  # exponential: sd == mean
+    se = (1.0 / rate) / math.sqrt(len(incs))  # exponential: sd == mean
     assert abs(mean - 1.0 / rate) < 3 * se
 
 
 def test_non_exit_step_grows_cluster_and_time():
-    state = initial_cluster(5)
-    src = DrawSource.from_seed(7)
-    while True:
-        i0, t0 = state.infected_count, state.elapsed
-        exited = dhar_step(state, src)
-        assert state.elapsed > t0
-        if exited:
-            assert state.infected_count == i0
-            break
-        assert state.infected_count == i0 + 1
-
-
-def test_frozen_state_rejects_more_steps():
-    state = initial_cluster(2)
-    src = DrawSource.from_seed(3)
-    while not dhar_step(state, src):
-        pass
-    with pytest.raises(DomainError):
-        dhar_step(state, src)
+    # the cap fires once the cluster holds cap vertices, so a race that
+    # exits with n vertices grew one vertex per step up to n and none on exit
+    grown = 0
+    for seed in range(20):
+        s = sample_slab_crossing(5, 1.0, seed)
+        assert 0 < s.value < math.inf
+        assert sample_slab_crossing(5, 1.0, seed, cluster_cap=s.settled_count + 1) == s
+        if s.settled_count > 1:
+            grown += 1
+            with pytest.raises(BudgetExceeded):
+                sample_slab_crossing(5, 1.0, seed, cluster_cap=s.settled_count)
+    assert grown > 5
 
 
 def test_bookkeeping_matches_recomputation_along_trajectory():
+    # validate=True recomputes S from coordinates after every step, and
+    # every step checks S against the connected-cluster bounds. The check
+    # costs O(i * d^2) per step, so d = 50 runs one trajectory.
     for d in (2, 3, 4, 6, 20, 50):
-        state = initial_cluster(d)
-        src = DrawSource.from_seed(derive_seed(33, d))
-        for _ in range(200):
-            exited = dhar_step(state, src, validate=True)
-            if exited:
-                break
-            assert state.perimeter_count == state.perimeter_size_recomputed()
-            if d >= 4:
-                assert state.perimeter_count + 1e-6 >= perimeter_lower_bound(
-                    d, state.infected_count
-                )
+        seeds = [derive_seed(33, d)] + ([derive_seed(33, d, 1)] if d < 50 else [])
+        for seed in seeds:
+            checked = sample_slab_crossing(d, 1.0, seed, validate=True)
+            assert checked == sample_slab_crossing(d, 1.0, seed)
+
+
+@pytest.mark.parametrize("d", [2, 5, 50])
+def test_perimeter_upper_bound_is_the_connected_cluster_bound(d):
+    for i in (1, 2, 7, 1000):
+        s_max = 2 * (d - 1) * i - 2 * (i - 1)
+        _check_perimeter_bounds(d, i, s_max)
+        with pytest.raises(InvariantViolation):
+            _check_perimeter_bounds(d, i, s_max + 1)
 
 
 def test_rate_scaling_is_pathwise():

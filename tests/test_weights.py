@@ -11,18 +11,21 @@ from hypothesis import strategies as st
 from fppslab.errors import DomainError, UnsupportedModel
 from fppslab.lattice import EdgeId
 from fppslab.weights import (
+    _GOLDEN,
     RATE_MAX,
     RATE_MIN,
+    U64,
     CoupledWeights,
     CouplingMap,
     WeightModel,
     bits_to_unit,
     couple_check,
     derive_seed,
+    fold64,
     verify_density_condition,
 )
 
-from oracles import edge_weight_reference, table_quantile_bruteforce
+from oracles import edge_weight_reference, table_quantile_bruteforce, unmix64
 
 # table for F with an atom at x = 1.0 of mass 0.4 (quantile flat on (0.3, 0.7])
 JUMP_TABLE = ((0.0, 0.0), (0.3, 1.0), (0.7, 1.0), (1.0, 2.0))
@@ -129,6 +132,20 @@ def test_edge_weight_pairs_uncorrelated_across_seeds():
 def test_edge_weights_strictly_positive(exp_model):
     for i in range(1000):
         assert exp_model.edge_weight(EdgeId((0, i, -i), 2)) > 0.0
+
+
+def test_all_ones_hash_gives_a_finite_weight():
+    # an edge whose key hashes to 2^64 - 1: its top 53 bits plus one half
+    # round to 2^53, so the unmapped unit would be exactly 1.0
+    model = WeightModel(family="exp", a=1.0, seed=5)
+    w = unmix64(U64) ^ ((fold64(5, (3, 1, 0, 0)) + _GOLDEN) & U64)
+    e = EdgeId((0, 0, w), 1)
+    assert fold64(5, (3, 1, *e.base)) == U64
+    scalar = model.edge_weight(e)
+    assert 0.0 < scalar < math.inf
+    batch = model.star_weights(e.base, [1])[0]
+    reference = edge_weight_reference(model, e)
+    assert scalar.hex() == batch.hex() == reference.hex()
 
 
 def test_density_condition_exponential_passes():
