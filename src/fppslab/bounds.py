@@ -9,11 +9,13 @@ and the second moment by
     (1/a^2) * 2 * sum_{n>=1} (A^(n-1) / (n + s_n)) * sum_{k<=n} 1/(k + s_k),
 
 where s_n = 2(d-1) n^((d-2)/(d-1)) is the isoperimetric floor on the
-perimeter of an n-vertex cluster and A = 1 - 1/(2d) caps the probability
-that a growth step stays in plane. Everything here evaluates those series
-and their integral companions numerically, with conservative closed-form
-tail majorants so the reported numbers remain genuine upper bounds at any
-truncation. The 1/a powers rescale from the unit-rate race to rate a.
+perimeter of an n-vertex cluster (Loomis-Whitney) and A = 1 - 1/(2d) caps
+the probability that a growth step stays in plane. The floor's one home is
+``_perimeter_floor``, and the race checks every step against it at every d.
+Everything here evaluates those series and their integral companions
+numerically, with conservative closed-form tail majorants so the reported
+numbers remain genuine upper bounds at any truncation. The 1/a powers
+rescale from the unit-rate race to rate a.
 
 Series are accumulated in chunks with compensated (Kahan) carry across
 chunks; once a chunk's last term drops below 1e-30 of the running sum the
@@ -31,6 +33,7 @@ import numpy as np
 import scipy
 
 from .errors import DomainError, QuadratureFailure
+from .lattice import check_dimension
 from .weights import check_rate
 
 _CHUNK = 1 << 18
@@ -59,19 +62,28 @@ class BoundReport:
     asymptote: float
 
 
+def _perimeter_floor(d: int, n):
+    """s(n) = 2(d-1) n^((d-2)/(d-1)), unchecked. ``n`` may be an int, a
+    float or an ndarray, and each is evaluated in its own arithmetic."""
+    return 2.0 * (d - 1) * n ** ((d - 2) / (d - 1))
+
+
+def _log_decay(d: int) -> float:
+    """log A = log(1 - 1/(2d)), exact near 1."""
+    return math.log1p(-1.0 / (2.0 * d))
+
+
 def perimeter_lower_bound(d: int, i: int) -> float:
     """Isoperimetric floor 2(d-1) i^((d-2)/(d-1)) on the perimeter count."""
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
+    check_dimension(d)
     if i < 1:
         raise DomainError(f"cluster size must be >= 1, got {i}")
-    return 2.0 * (d - 1) * float(i) ** ((d - 2) / (d - 1))
+    return _perimeter_floor(d, float(i))
 
 
 def asymptote(d: float, a: float) -> float:
     """High-dimensional limit log(d)/(2ad) of the mean crossing time."""
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
+    check_dimension(d)
     check_rate(a)
     return math.log(d) / (2.0 * a * d)
 
@@ -81,15 +93,27 @@ def default_truncation(d: int) -> int:
     return int(math.ceil(40.0 * d))
 
 
-def _series_scan(d: int, truncation_n: int, second: bool) -> tuple[float, float, float]:
+def _truncation(d: int, a: float, truncation_n: int | None) -> int:
+    """Check a series' arguments and return its truncation, by default
+    ``default_truncation(d)``."""
+    check_dimension(d)
+    check_rate(a)
+    if truncation_n is None:
+        truncation_n = default_truncation(d)
+    if truncation_n < 2:
+        raise DomainError(f"truncation must be >= 2, got {truncation_n}")
+    return truncation_n
+
+
+def _series_scan(d: int, truncation_n: int,
+                 second: bool) -> tuple[float, float, float, float]:
     """Shared chunked scan over the series terms.
 
-    Returns (sum, last_included_n_prefix P_M if second else 0, M) where the
-    scan may stop early at M <= truncation_n once terms are negligible.
+    The scan may stop early, at M <= truncation_n, once terms are
+    negligible. Returns (sum, the prefix P_M if second else 0, A^M,
+    s_{M+1}), the last two being what the tail majorants need.
     """
-    beta = (d - 2.0) / (d - 1.0)
-    two_d1 = 2.0 * (d - 1.0)
-    log_decay = math.log1p(-1.0 / (2.0 * d))  # log A, exact near 1
+    log_decay = _log_decay(d)
 
     total = 0.0
     comp = 0.0  # Kahan carry across chunks
@@ -100,7 +124,7 @@ def _series_scan(d: int, truncation_n: int, second: bool) -> tuple[float, float,
     while n0 <= truncation_n:
         n1 = min(n0 + _CHUNK - 1, truncation_n)
         n = np.arange(n0, n1 + 1, dtype=np.float64)
-        s_n = two_d1 * n**beta
+        s_n = _perimeter_floor(d, n)
         decay_pow = np.exp((n - 1.0) * log_decay)
         if second:
             inv = 1.0 / (n + s_n)
@@ -118,7 +142,7 @@ def _series_scan(d: int, truncation_n: int, second: bool) -> tuple[float, float,
         if terms[-1] < _NEGLIGIBLE * max(total, 1e-300):
             break
         n0 = n1 + 1
-    return total, prefix, m_last
+    return total, prefix, math.exp(m_last * log_decay), _perimeter_floor(d, m_last + 1)
 
 
 def first_moment_ub(d: int, a: float, truncation_n: int | None = None) -> tuple[float, float]:
@@ -128,21 +152,10 @@ def first_moment_ub(d: int, a: float, truncation_n: int | None = None) -> tuple[
     the untruncated series. The tail majorant A^M / (s_{M+1} (1 - A)) uses
     only that s_n is nondecreasing, so it is a valid inequality at every M.
     """
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-    check_rate(a)
-    if truncation_n is None:
-        truncation_n = default_truncation(d)
-    if truncation_n < 2:
-        raise DomainError(f"truncation must be >= 2, got {truncation_n}")
-
-    s1 = 2.0 * (d - 1.0)
-    head = 1.0 / (1.0 + s1)
-    body, _, m_last = _series_scan(d, truncation_n, second=False)
-
-    log_decay = math.log1p(-1.0 / (2.0 * d))
-    s_next = perimeter_lower_bound(d, m_last + 1)
-    tail = math.exp(m_last * log_decay) * (2.0 * d) / s_next
+    truncation_n = _truncation(d, a, truncation_n)
+    head = 1.0 / (1.0 + _perimeter_floor(d, 1))
+    body, _, decay_m, s_next = _series_scan(d, truncation_n, second=False)
+    tail = decay_m * (2.0 * d) / s_next
 
     ub1 = (head + body + tail) / a
     return ub1, tail / a
@@ -156,19 +169,8 @@ def second_moment_ub(d: int, a: float, truncation_n: int | None = None) -> tuple
     and the outer weight by A^(n-1)/s_{M+1}, which sums in closed geometric
     form; the result stays a genuine upper bound.
     """
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-    check_rate(a)
-    if truncation_n is None:
-        truncation_n = default_truncation(d)
-    if truncation_n < 2:
-        raise DomainError(f"truncation must be >= 2, got {truncation_n}")
-
-    body, p_m, m_last = _series_scan(d, truncation_n, second=True)
-
-    log_decay = math.log1p(-1.0 / (2.0 * d))
-    decay_m = math.exp(m_last * log_decay)
-    s_next = perimeter_lower_bound(d, m_last + 1)
+    truncation_n = _truncation(d, a, truncation_n)
+    body, p_m, decay_m, s_next = _series_scan(d, truncation_n, second=True)
     one_minus = 1.0 / (2.0 * d)  # 1 - A
     tail = (2.0 / s_next) * decay_m * (p_m / one_minus + 1.0 / (one_minus**2 * s_next))
 
@@ -177,8 +179,7 @@ def second_moment_ub(d: int, a: float, truncation_n: int | None = None) -> tuple
 
 
 def bound_report(d: int, a: float, truncation_n: int | None = None) -> BoundReport:
-    if truncation_n is None:
-        truncation_n = default_truncation(d)
+    truncation_n = _truncation(d, a, truncation_n)
     ub1, ub1_tail = first_moment_ub(d, a, truncation_n)
     ub2, ub2_tail = second_moment_ub(d, a, truncation_n)
     asym = asymptote(d, a)
@@ -222,12 +223,10 @@ def integral_decomposition(d: int) -> IntegralParts:
     if d < 3:
         raise DomainError(f"dimension must be >= 3, got {d}")
     rtol = 1e-8
-    beta = (d - 2.0) / (d - 1.0)
-    two_d1 = 2.0 * (d - 1.0)
-    log_decay = math.log1p(-1.0 / (2.0 * d))
+    log_decay = _log_decay(d)
 
     def inv_s(x: float) -> float:
-        return 1.0 / (two_d1 * x**beta)
+        return 1.0 / _perimeter_floor(d, x)
 
     def g(y: float) -> float:
         return math.exp((y - 1.0) * log_decay) * inv_s(y)

@@ -35,6 +35,7 @@ from .experiments import (
     subadditivity_check,
     ui_tail,
 )
+from .slab import DEFAULT_SETTLED_CAP
 from .weights import FAMILIES, CouplingMap, WeightModel, couple_check
 
 _CONFIG_EXIT = (ConfigError, DomainError, UnsupportedModel, SamplerMismatch)
@@ -289,7 +290,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
             arg(sp, "--d", type=int, action="append", needed=True,
                 help="dimension; repeat for a grid")
             arg(sp, "--reps", type=int, default=100)
-            arg(sp, "--budget-cap", type=int, default=1_000_000)
+            arg(sp, "--budget-cap", type=int, default=DEFAULT_SETTLED_CAP)
 
     sp = sub.add_parser("bounds", help="evaluate the moment-bound series")
     arg(sp, "--d", type=int, action="append", needed=True)
@@ -396,6 +397,10 @@ def main(argv: list[str] | None = None) -> int:
                    if action.needed and merged.get(k) is None]
         if missing:
             raise ConfigError(f"{command} needs values for: {', '.join(missing)}")
+        # an empty grid writes a header-only file; a repeated d is sampled twice
+        dims = merged.get("d")
+        if dims is not None and (not dims or len(set(dims)) < len(dims)):
+            raise ConfigError(f"--d must list at least one dimension and none twice, got {dims}")
 
         args = argparse.Namespace(**merged)
         handlers[command](args)

@@ -23,7 +23,8 @@ One race is one ``_Cluster``, and a step is its ``pick`` then its
   is S / (2(d-1) i) >= i^(-1/(d-1)), close to 1 in high dimension;
 * ``grow`` adds the new vertex given the count k of its infected
   neighbors, S' = S + 2(d-1) - 2k, and checks S against the bounds every
-  connected cluster obeys and the cluster size against its cap.
+  connected cluster obeys and the cluster size against its cap. The lower
+  bound is ``bounds._perimeter_floor``, the series' floor, at every d >= 2.
 
 Only the count k differs between the two races:
 
@@ -52,48 +53,28 @@ Only the count k differs between the two races:
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, InvariantViolation
-from .lattice import Point, step
-from .slab import PassageSample
+from .bounds import _perimeter_floor
+from .errors import BudgetExceeded, InvariantViolation
+from .lattice import Point, check_dimension, step
+from .slab import DEFAULT_SETTLED_CAP, PassageSample
 from .weights import U64, check_rate, fold64
-
-DEFAULT_CLUSTER_CAP = 1_000_000
 
 _KEY_SALT = 0x1B87_3F5C_9D2E_A641  # fixed: cluster keys must not depend on run seeds
 
 
-class _DirTables(NamedTuple):
-    """Key deltas per direction: direction 2j steps +1 along in-plane axis
-    j, direction 2j + 1 steps -1."""
-
-    n_dirs: int            # 2(d-1)
-    c_step: list[int]      # key delta per direction, python ints mod 2^64
-    c_signed: np.ndarray   # same deltas as uint64 vector
-
-
-_TABLES: dict[int, _DirTables] = {}
-
-
-def _dir_tables(d: int) -> _DirTables:
-    tables = _TABLES.get(d)
-    if tables is None:
-        coef = []
-        for j in range(d - 1):
-            c = fold64(_KEY_SALT, (d, j))
-            coef.append(c if c else 1)
-        c_step = [delta for c in coef for delta in (c, (-c) & U64)]
-        tables = _DirTables(
-            n_dirs=2 * (d - 1),
-            c_step=c_step,
-            c_signed=np.array(c_step, dtype=np.uint64),
-        )
-        _TABLES[d] = tables
-    return tables
+@functools.cache
+def _dir_deltas(d: int) -> tuple[list[int], np.ndarray]:
+    """Key delta per direction, as python ints mod 2^64 and as a uint64
+    vector: direction 2j steps +1 along in-plane axis j, direction 2j + 1
+    steps -1. Callers share the result and must not change it."""
+    coef = [fold64(_KEY_SALT, (d, j)) or 1 for j in range(d - 1)]
+    c_step = [delta for c in coef for delta in (c, (-c) & U64)]
+    return c_step, np.array(c_step, dtype=np.uint64)
 
 
 class DrawSource:
@@ -137,24 +118,15 @@ class DrawSource:
         return next(self._exp)
 
 
-def _check_domain(d: int, a: float) -> None:
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-    check_rate(a)
-
-
 def _check_perimeter_bounds(d: int, i: int, S: int) -> None:
     # a connected cluster of i vertices has at least i - 1 internal edges,
     # and each takes two of the 2(d-1)i in-plane edge ends off the perimeter
     s_max = 2 * (d - 1) * i - 2 * (i - 1)
     if S > s_max:
         raise InvariantViolation(f"perimeter {S} above 2(d-1)i - 2(i-1) = {s_max}")
-    if d >= 4:
-        s_i = 2.0 * (d - 1) * i ** ((d - 2) / (d - 1))
-        if S + 1e-6 < s_i:  # slack absorbs float pow rounding at exact powers
-            raise InvariantViolation(
-                f"perimeter {S} below isoperimetric floor {s_i} at d={d}, i={i}"
-            )
+    s_i = _perimeter_floor(d, i)
+    if S + 1e-6 < s_i:  # slack absorbs float pow rounding at exact powers
+        raise InvariantViolation(f"perimeter {S} below isoperimetric floor {s_i} at d={d}, i={i}")
 
 
 _SALT_STEP = 0x9E37_79B9_7F4A_7C15  # Weyl step: replicate r's keys are offset by (r + 1) * step
@@ -175,7 +147,7 @@ class _Cluster:
         self.d = d
         self.rate = a
         self.cap = cluster_cap
-        self.c_step = _dir_tables(d).c_step
+        self.c_step = _dir_deltas(d)[0]
         self.uniform = source.uniform
         self.exponential = source.exponential
         self.keys = [0]
@@ -245,7 +217,7 @@ def _check_against_coords(cluster: _Cluster, coords: list[Point]) -> None:
 
 
 def sample_slab_crossing(d: int, a: float = 1.0, seed: int = 0, *,
-                         cluster_cap: int = DEFAULT_CLUSTER_CAP,
+                         cluster_cap: int = DEFAULT_SETTLED_CAP,
                          validate: bool = False) -> PassageSample:
     """Sample one slab crossing time by running the race to its first exit.
 
@@ -254,8 +226,9 @@ def sample_slab_crossing(d: int, a: float = 1.0, seed: int = 0, *,
     ``BudgetExceeded`` once a step grows the cluster to ``cluster_cap``
     vertices.
     """
-    _check_domain(d, a)
-    c_signed = _dir_tables(d).c_signed
+    check_dimension(d)
+    check_rate(a)
+    c_signed = _dir_deltas(d)[1]
     cluster = _Cluster(d, a, seed, cluster_cap)
     keyset = cluster.keyset
     coords = [(0,) * (d - 1)]  # in-plane coordinates, in infection order
@@ -315,7 +288,7 @@ class _SaltedFilter:
 
 
 def race_values(d: int, a: float, seeds, *,
-                cluster_cap: int = DEFAULT_CLUSTER_CAP) -> np.ndarray:
+                cluster_cap: int = DEFAULT_SETTLED_CAP) -> np.ndarray:
     """``[sample_slab_crossing(d, a, s, cluster_cap=cluster_cap).value for s in seeds]``,
     bit for bit, as a float64 array.
 
@@ -324,11 +297,10 @@ def race_values(d: int, a: float, seeds, *,
     the serial one. Raises ``BudgetExceeded`` when some replicate's cluster
     reaches ``cluster_cap`` without exiting, as the serial loop does.
     """
-    _check_domain(d, a)
-    tables = _dir_tables(d)
-    m = tables.n_dirs
-    c_step = tables.c_step
-    c_signed = tables.c_signed
+    check_dimension(d)
+    check_rate(a)
+    c_step, c_signed = _dir_deltas(d)
+    m = len(c_step)
     seeds = list(seeds)
     out = np.empty(len(seeds), dtype=np.float64)
     queue = iter(enumerate(seeds))

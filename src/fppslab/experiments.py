@@ -21,10 +21,15 @@ from math import inf
 
 import numpy as np
 
-from .eden import DEFAULT_CLUSTER_CAP, race_values
+from .eden import race_values
 from .errors import DomainError, SamplerMismatch
 from .lattice import EdgeId, Point, step
-from .slab import greedy_concatenation, point_to_hyperplane_time, slab_crossing_time
+from .slab import (
+    DEFAULT_SETTLED_CAP,
+    greedy_concatenation,
+    point_to_hyperplane_time,
+    slab_crossing_time,
+)
 from .weights import WeightModel, derive_seed
 
 SAMPLERS = ("eden", "slab")
@@ -37,7 +42,7 @@ class ExperimentConfig:
     d_grid: tuple[int, ...]
     model: WeightModel
     replicates: int
-    budget_cap: int = DEFAULT_CLUSTER_CAP
+    budget_cap: int = DEFAULT_SETTLED_CAP
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
@@ -97,10 +102,20 @@ def sample_crossing_values(config: ExperimentConfig, sampler: str, d: int) -> np
                      for seed in seeds], dtype=np.float64)
 
 
+def _scale(d: int, a: float) -> float:
+    """2ad / log(d), the factor that turns a crossing time into X."""
+    return 2.0 * a * d / math.log(d)
+
+
+def _standard_error(x: np.ndarray) -> float:
+    """Standard error of the mean of ``x``; 0 for a single value."""
+    return float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
+
+
 def summarize(values: np.ndarray, d: int, a: float | None) -> SummaryStats:
     n = len(values)
     mean = float(np.mean(values))
-    scale = None if a is None else 2.0 * a * d / math.log(d)
+    scale = None if a is None else _scale(d, a)
     if n < 2:
         return SummaryStats(n=n, mean=mean, variance=None, ci95=None,
                             normalized_mean=None if scale is None else mean * scale,
@@ -168,7 +183,7 @@ class ExceedanceEstimate:
 
 
 def normalized_values(values: np.ndarray, d: int, a: float) -> np.ndarray:
-    return np.asarray(values) * (2.0 * a * d / math.log(d))
+    return np.asarray(values) * _scale(d, a)
 
 
 def concentration_curve(config: ExperimentConfig, eta: float, *,
@@ -248,9 +263,8 @@ def subadditivity_check(config: ExperimentConfig, n: int) -> dict[int, Subadditi
         singles = np.array([v for r in rows for v in r[1]])
         violations = int(np.count_nonzero(direct > sums + 1e-9))
         lhs = direct / n
-        lhs_se = float(np.std(lhs, ddof=1) / math.sqrt(len(lhs))) if len(lhs) > 1 else 0.0
-        rhs_se = (float(np.std(singles, ddof=1) / math.sqrt(len(singles)))
-                  if len(singles) > 1 else 0.0)
+        lhs_se = _standard_error(lhs)
+        rhs_se = _standard_error(singles)
         out[d] = SubadditivityReport(
             d=d,
             n=n,
@@ -334,7 +348,7 @@ def _fast_path_exists(model: WeightModel, d: int, p: int, n_steps: int, x: float
 
 
 def search_cross_probe(d: int, model: WeightModel, replicates: int, *,
-                       node_cap: int = 1_000_000) -> SearchCrossReport:
+                       node_cap: int = DEFAULT_SETTLED_CAP) -> SearchCrossReport:
     """Estimate the cheap-detour probability at dimension d.
 
     Parameter choices follow the classical construction: subspace dimension

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import DomainError
+
 Point = tuple[int, ...]
 
 
@@ -28,3 +30,9 @@ class EdgeId(NamedTuple):
 def step(p: Point, axis: int, delta: int) -> Point:
     """p + delta * e_axis."""
     return p[:axis] + (p[axis] + delta,) + p[axis + 1 :]
+
+
+def check_dimension(d: int) -> None:
+    """Raise DomainError unless d >= 2: Z^1 has no in-plane direction."""
+    if d < 2:
+        raise DomainError(f"dimension must be >= 2, got {d}")

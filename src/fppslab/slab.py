@@ -27,9 +27,11 @@ from dataclasses import dataclass
 from math import inf
 
 from .errors import BudgetExceeded, DomainError
-from .lattice import EdgeId, Point, step
+from .lattice import EdgeId, Point, check_dimension, step
 
-DEFAULT_SETTLED_CAP = 10_000_000
+# the default of every work cap: vertices settled by these searches, vertices
+# infected by the cluster race, nodes settled by the probe
+DEFAULT_SETTLED_CAP = 1_000_000
 
 _TARGET, _INNER = 0, 1  # heap kinds; targets win ties
 
@@ -92,8 +94,7 @@ def slab_crossing_time(model, start: Point, *,
     available at all. The optimum is found exactly; ``settled_cap`` is only
     a safety valve against weight models with mass far from zero.
     """
-    if len(start) < 2:
-        raise DomainError(f"dimension must be >= 2, got {len(start)}")
+    check_dimension(len(start))
     k = start[0]
     return PassageSample(*_lazy_search(model, start, k, k + 1, settled_cap))
 
@@ -108,8 +109,7 @@ def point_to_hyperplane_time(model, d: int, n: int, *,
     """
     if n < 1:
         raise DomainError(f"hyperplane index must be >= 1, got {n}")
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
+    check_dimension(d)
     return _lazy_search(model, (0,) * d, 0, n, settled_cap)[0]
 
 

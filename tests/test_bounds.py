@@ -122,3 +122,35 @@ def test_integral_decomposition_smoke():
     assert p.outer_beyond < p.inner_beyond
     with pytest.raises(DomainError):
         integral_decomposition(2)
+
+
+# .hex() of (ub1, ub1_tail, ub2, ub2_tail) at a = 1, keyed by (d, N); N = None is
+# the default 40d. d = 2 gives c03's 11/6. (5, 100000) stops the scan early.
+GOLDEN_SERIES = {
+    (2, None): ("0x1.d555555555554p+0", "0x1.bccbc7be2c647p-33",
+                "0x1.1d1f6a655e623p+0", "0x1.313e0cccd2bcdp-29"),
+    (3, None): ("0x1.897178ffaf665p-1", "0x1.79c7a85944e94p-35",
+                "0x1.ed8faa1243d30p-2", "0x1.cce6e90a29c82p-33"),
+    (4, None): ("0x1.07d5e2d12ce99p-1", "0x1.a12fa105b2a25p-36",
+                "0x1.0e5bd238822b9p-2", "0x1.4d0d99df298cep-34"),
+    (50, None): ("0x1.93b6fd7a61fe5p-5", "0x1.386990a4a1f6ep-40",
+                 "0x1.646d8426fddcfp-9", "0x1.beda4411ca37cp-43"),
+    (1000, None): ("0x1.f485968a75d8cp-9", "0x1.d331f1dfcfde0p-45",
+                   "0x1.0231828c8e74ep-16", "0x1.5177bbc94c6fep-51"),
+    (70001, None): ("0x1.6307b4295b8f7p-14", "0x1.a8684ecc5ed14p-51",
+                    "0x1.f7e4f4cf96609p-28", "0x1.80468f30b05c2p-63"),
+    (5, 100000): ("0x1.962d57e06827cp-2", "0x0.0p+0",
+                  "0x1.5850a0b35a46dp-3", "0x0.0p+0"),
+}
+
+# .hex() of integral_decomposition(100)'s (both_below, inner_beyond, outer_beyond)
+GOLDEN_INTEGRAL = ("0x1.db4b17a750f60p-12", "0x1.d935450d4afefp-15", "0x1.7761133efc62ep-18")
+
+
+def test_golden_values_fix_the_series():
+    for (d, n), want in GOLDEN_SERIES.items():
+        got = first_moment_ub(d, 1.0, n) + second_moment_ub(d, 1.0, n)
+        assert tuple(v.hex() for v in got) == want, (d, n)
+    p = integral_decomposition(100)
+    got = (p.both_below, p.inner_beyond, p.outer_beyond)
+    assert tuple(v.hex() for v in got) == GOLDEN_INTEGRAL

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -193,6 +194,22 @@ def test_budget_cap_below_one_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bounds", "search-cross", "sample-eden"])
+@pytest.mark.parametrize("dims", ["empty", "repeated"])
+def test_empty_or_repeated_dimension_exits_2_writes_nothing(tmp_path, capsys, command, dims):
+    out = tmp_path / "x.csv"
+    if dims == "empty":  # only a config file can give an empty list
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"d": []}))
+        argv = [command, "--config", str(cfg_path)]
+    else:
+        argv = [command, "--d", "16", "--d", "16"]
+    code = run(argv + ["--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def test_couple_check_exponential_identity(tmp_path, capsys):
     out = tmp_path / "c.json"
     code = run(["couple-check", "--family", "exp", "--a", "1.0",
@@ -323,3 +340,83 @@ def test_cli_import_leaves_quadrature_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+TABLE_POINTS = json.dumps([[0.0, 0.0], [0.3, 0.3], [0.6, 0.3], [0.9, 1.0]])
+
+# c11's eight commands, then the race in replicates mode at d = 2, 3 and 50,
+# the table and uniform families, and the exact sampler behind the
+# normalized statistics
+DIGEST_COMMANDS = {
+    "bounds": ["bounds", "--d", "100", "--a", "1.0", "--N", "2000"],
+    "sample-slab": ["sample-slab", "--d", "4", "--reps", "30", "--seed", "5"],
+    "sample-eden": ["sample-eden", "--d", "6", "--reps", "60", "--seed", "5",
+                    "--mode", "summary"],
+    "concentration": ["concentration", "--d", "8", "--eta", "0.5",
+                      "--reps", "60", "--seed", "5"],
+    "subadd": ["subadd", "--d", "3", "--n", "2", "--reps", "15", "--seed", "5"],
+    "search-cross": ["search-cross", "--d", "16", "--reps", "40", "--seed", "5"],
+    "ui-tail": ["ui-tail", "--d", "8", "--M", "2.0", "--reps", "60", "--seed", "5"],
+    "couple-check": ["couple-check", "--family", "uniform", "--a", "1.0",
+                     "--grid", "60"],
+    "sample-eden-replicates": ["sample-eden", "--d", "2", "--d", "3", "--d", "50",
+                               "--reps", "30", "--seed", "5"],
+    "sample-slab-table": ["sample-slab", "--d", "3", "--reps", "10", "--seed", "5",
+                          "--family", "table", "--points", TABLE_POINTS],
+    "couple-check-table": ["couple-check", "--family", "table", "--points", TABLE_POINTS,
+                           "--grid", "40"],
+    "sample-slab-uniform": ["sample-slab", "--d", "4", "--reps", "20", "--seed", "5",
+                            "--family", "uniform", "--a", "1.0", "--mode", "summary"],
+    "concentration-slab": ["concentration", "--d", "4", "--eta", "0.5", "--reps", "20",
+                           "--seed", "5", "--sampler", "slab"],
+    "ui-tail-slab": ["ui-tail", "--d", "4", "--M", "2.0", "--reps", "20", "--seed", "5",
+                     "--sampler", "slab"],
+}
+
+# SHA-256 of each result file, by (command name, format)
+DIGESTS = {
+    ("bounds", "csv"): "084c3780d25dd7a151098047af32b47f77c671cbc50557d5cda95cdf01803c7b",
+    ("bounds", "json"): "650037be0adc13bdd04af39e297ad0c2b9fa5e268dd05f4f106e30a77bc6f2dd",
+    ("sample-slab", "csv"): "3a9ff9a396e1815c81bae1f4ed5839d9aef563edf9a4b4d7a5097d664e2347cd",
+    ("sample-slab", "json"): "2a1d9c7033fa19f12ade21e377df5fd7ca25235d13904511e76adcec81f69e26",
+    ("sample-eden", "csv"): "b321c15893779810496c60f5c55e8e8ecd4996e3f85fad8f6137fd39847bf309",
+    ("sample-eden", "json"): "03eeed6501390277ed3da2f80ae82a37b9ceff87a5431ec8a198a0b9d3a4b30a",
+    ("concentration", "csv"): "468302c0e44dd2199740d9549f8026ac1f99b4473c1b91c2ac0c76a4d1b8fdc6",
+    ("concentration", "json"): "fdb1caa4b380899403c4aba66328441638f7c48007836a41b2c4d14bbe835f0b",
+    ("subadd", "csv"): "d82be83623e9ff931cf29fad1fa0cbc5bc499753b919008de13d0d708162c87b",
+    ("subadd", "json"): "2c1542986858ce59e93e8de6a9233a2e2cda557e64ef606def5a62181aba72f8",
+    ("search-cross", "csv"): "0cd822380cd81d6228f5a305072ca4057cc5ce66fbc424375095de9db30f2494",
+    ("search-cross", "json"): "9fd4251e41d84412b2dcfedf00cf27f4c9730b1b75ce044245545b11a9e6e4e7",
+    ("ui-tail", "csv"): "f6b06e51cb267281393c38ef831b853648204fe45a102a43bdec731e538eb9b4",
+    ("ui-tail", "json"): "ee2b286679dccb74f60750da52df56f594911745a1af7578ef500652a137cf05",
+    ("couple-check", "csv"): "9c8264f3536ab62b86bb11bf929611b9a4a18872b20e467a4fb9fc9099b4785b",
+    ("couple-check", "json"): "de86c5c985c873486c7d2f6f6e9f9084a01689d2538d22f95378fd332eae21c3",
+    ("sample-eden-replicates", "csv"): "c66257d9ab4f248dfab62ad8a925df79cc5bb74d8d3e46a194c11ca5ea63d3e4",
+    ("sample-eden-replicates", "json"): "dc74234747aec9cdb4fddcebe7592f5d9a64c7eba38f1a66076eedb57d3db46d",
+    ("sample-slab-table", "csv"): "5c9f926930638233dc78493820a16b8c9eb1f89a5cb37b74a783a72e6babe6c6",
+    ("sample-slab-table", "json"): "8c08d22587a5310194ba211f10d2a3dc3d6971aea0d9fd5ec9228e5fe6f76955",
+    ("couple-check-table", "csv"): "481adee9f1750500e7c97c98a505edd4ef779eb4f4add2d5e816c2a90ba85bda",
+    ("couple-check-table", "json"): "a60bbd8a17d0c2f8a92884da99fd01f2720c5721ccd7be40b75280b29fbbcfe2",
+    ("sample-slab-uniform", "csv"): "369739c9d7394aa87ba8c070f3e19605c34d61b97a2b7377d2bfd358f937b527",
+    ("sample-slab-uniform", "json"): "d0cc926c8e70ab4f1c0073e8f66726d72259dc0d0c4905a8db3da1408387b7e5",
+    ("concentration-slab", "csv"): "eb5d14e6820b4b28486ba72743096e6aa013d837f2d0398de0c87b9e7e2bd6a0",
+    ("concentration-slab", "json"): "d12f3b93b2fe92b9196f63b14a2fc3f1c306e6ca50768e06395abd2c839692a6",
+    ("ui-tail-slab", "csv"): "82c554c80d313ff6b2a592eb2f1ae5512b050da3b7f20721b1d9c06aa3722bf9",
+    ("ui-tail-slab", "json"): "8110a5b438b9c21085d1e211d90d970a71b6bc0cf6e09dc937c905a4af757735",
+}
+
+
+def test_cli_outputs_match_recorded_digests(tmp_path):
+    """Every result file's bytes are the recorded ones.
+
+    c11 compares two runs of one tree; this compares against the digests
+    recorded here, so a refactor that changes a byte fails. A change that
+    versions outputs on purpose updates these digests and says so in
+    CHANGES.md.
+    """
+    for name, argv in DIGEST_COMMANDS.items():
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"{name}.{fmt}"
+            assert run(argv + ["--format", fmt, "--out", str(out)]) == 0
+            got = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert got == DIGESTS[name, fmt], (name, fmt)

@@ -73,6 +73,15 @@ def test_perimeter_upper_bound_is_the_connected_cluster_bound(d):
             _check_perimeter_bounds(d, i, s_max + 1)
 
 
+@pytest.mark.parametrize("d, i, floor", [(2, 3, 2), (3, 4, 8), (5, 1, 8), (50, 1, 98)],
+                         ids=["2", "3", "5", "50"])
+def test_perimeter_floor_is_checked_at_every_dimension(d, i, floor):
+    # each perimeter sits exactly at the isoperimetric floor 2(d-1) i^((d-2)/(d-1))
+    _check_perimeter_bounds(d, i, floor)
+    with pytest.raises(InvariantViolation, match="below isoperimetric floor"):
+        _check_perimeter_bounds(d, i, floor - 1)
+
+
 def test_rate_scaling_is_pathwise():
     for seed in range(40):
         s1 = sample_slab_crossing(6, 1.0, seed)
