@@ -23,14 +23,14 @@ import numpy as np
 
 from .eden import race_values
 from .errors import DomainError, SamplerMismatch
-from .lattice import EdgeId, Point, step
+from .lattice import Point, step
 from .slab import (
     DEFAULT_SETTLED_CAP,
     greedy_concatenation,
     point_to_hyperplane_time,
     slab_crossing_time,
 )
-from .weights import WeightModel, derive_seed
+from .weights import WeightModel, derive_seed, edge_units
 
 SAMPLERS = ("eden", "slab")
 
@@ -49,6 +49,8 @@ class ExperimentConfig:
             raise DomainError(f"replicates must be >= 1, got {self.replicates}")
         if not self.d_grid:
             raise DomainError("d_grid must not be empty")
+        if len(set(self.d_grid)) < len(self.d_grid):
+            raise DomainError(f"d_grid must not repeat a dimension, got {self.d_grid}")
         if any(d < 2 for d in self.d_grid):
             raise DomainError(f"all dimensions must be >= 2, got {self.d_grid}")
         if self.budget_cap < 1:
@@ -308,43 +310,157 @@ class SearchCrossReport:
     capped_replicates: int
 
 
-def _fast_path_exists(model: WeightModel, d: int, p: int, n_steps: int, x: float,
-                      node_cap: int) -> tuple[bool, bool]:
-    """Best-first search for an n-step path with total weight <= x.
+# Replicates whose searches share one hash pass per level. A larger block
+# spreads numpy's per-call cost over more keys but holds all its members'
+# levels at once: blocks of 8 ran d = 64 about 25% faster than blocks of 4,
+# but added 2 MB of peak RSS at d = 256 (60 replicates) against 1.2 MB.
+_PROBE_BLOCK = 4
+# the most keys one edge_units pass hashes, so its arrays stay in cache
+_PASS_KEYS = 1 << 14
 
-    The first n-1 steps move inside the subspace of axes 2..p+1; the last
+# a vertex as its nonzero coordinates, flat and by index: (i, x_i, j, x_j, ...)
+Sparse = tuple[int, ...]
+# the moves of a vertex that may be cheap, and their weights: (indices, weights)
+Cheap = tuple[list[int], list[float]]
+
+
+def _sparse(v: Point) -> Sparse:
+    """v's nonzero coordinates, as ``edge_units`` takes a vertex."""
+    return tuple(w for i, c in enumerate(v) if c for w in (i, c))
+
+
+def _shifted(nz: Sparse, axis: int, delta: int) -> Sparse:
+    """``_sparse(step(v, axis, delta))`` for ``nz = _sparse(v)``."""
+    coords = dict(zip(nz[::2], nz[1::2]))
+    c = coords.get(axis, 0) + delta
+    if c:
+        coords[axis] = c
+    else:
+        del coords[axis]
+    return tuple(w for item in sorted(coords.items()) for w in item)
+
+
+def _cheap_moves(model: WeightModel, d: int, seeds: list[int], verts: list[Sparse],
+                 moves, cut: float) -> list[Cheap]:
+    """For each (seed, vertex) pair, the indices and weights of the
+    ``moves`` whose oracle unit is at most ``cut``, in move order. The
+    units come from ``edge_units`` passes of at most ``_PASS_KEYS`` keys
+    and the weights from the scalar ``quantile``, so each weight is its
+    edge's ``edge_weight`` bit for bit."""
+    out: list[Cheap] = []
+    quantile = model.quantile
+    size = max(1, _PASS_KEYS // len(moves))
+    for lo in range(0, len(verts), size):
+        units = edge_units(seeds[lo:lo + size], d, verts[lo:lo + size], moves)
+        rows, cols = np.nonzero(units <= cut)
+        ends = np.cumsum(np.bincount(rows, minlength=len(units))).tolist()
+        cols, us = cols.tolist(), units[rows, cols].tolist()
+        for a, b in zip([0] + ends, ends):
+            out.append((cols[a:b], [quantile(u) for u in us[a:b]]))
+    return out
+
+
+def _fast_paths_exist(model: WeightModel, seeds: list[int], d: int, p: int, n_steps: int,
+                      x: float, node_cap: int) -> list[tuple[bool, bool]]:
+    """Best-first search for an n-step path with total weight <= x, per seed.
+
+    The first n-1 steps move inside the subspace of axes 1..p; the last
     step is the forward edge. Partial costs above x are pruned, so only
-    the cheap subtree is ever explored. Each expansion takes the weights of
-    all 2p subspace edges at its vertex from one ``star_weights`` batch.
-    Returns (found, capped); when the node cap bites, ``found`` is still a
-    valid one-sided hit.
+    the cheap subtree is ever explored. Returns (found, capped) for each
+    seed; when the node cap bites, ``found`` is still a valid one-sided hit.
+
+    The seeds run in blocks of ``_PROBE_BLOCK``. For each block the
+    searches' states are weighed level by level first: the states (seed,
+    t, v) whose least t-step cost is at most x, every block member's at
+    once, have their 2p subspace edges (at t = n-1, their forward edge)
+    hashed together, in ``edge_units`` passes of at most ``_PASS_KEYS``
+    keys. Only units at or below
+    ``model.quantile_cut(x)`` go through the scalar ``quantile``: any other
+    edge weighs more than x, and the search would prune it. A seed stops
+    being weighed ahead once its states would outnumber ``node_cap``.
+    Each seed's search then runs alone, as edge by edge, and weighs any
+    vertex the levels left out when it reaches it, so (found, capped) and
+    the cap's bound on the work are those of the edge-by-edge search.
     """
-    start = (0,) * d
-    axes = range(1, p + 1)
-    moves = [(axis, delta) for axis in axes for delta in (1, -1)]  # star_weights order
-    best: dict[tuple[int, Point], float] = {(0, start): 0.0}
-    heap: list[tuple[float, int, Point]] = [(0.0, 0, start)]
-    settled: set[tuple[int, Point]] = set()
-    while heap:
-        cost, t, v = heappop(heap)
-        if (t, v) in settled:
-            continue
-        settled.add((t, v))
-        if len(settled) > node_cap:
-            return False, True
-        if t == n_steps - 1:
-            if cost + model.edge_weight(EdgeId(v, 0)) <= x:
-                return True, False
-            continue
-        for (axis, delta), w in zip(moves, model.star_weights(v, axes)):
-            nc = cost + w
-            if nc <= x:
-                q = step(v, axis, delta)
-                key = (t + 1, q)
-                if nc < best.get(key, inf):
-                    best[key] = nc
-                    heappush(heap, (nc, t + 1, q))
-    return False, False
+    cut = model.quantile_cut(x)
+    star = [(axis, delta) for axis in range(1, p + 1) for delta in (1, -1)]
+    forward = [(0, 1)]
+
+    def forwards(block_seeds, verts):
+        units = edge_units(block_seeds, d, verts, forward)[:, 0].tolist()
+        return [model.quantile(u) if u <= cut else inf for u in units]
+
+    def search(seed, moves_at, forward_at) -> tuple[bool, bool]:
+        start = (0,) * d
+        best: dict[tuple[int, Point], float] = {(0, start): 0.0}
+        heap: list[tuple[float, int, Point]] = [(0.0, 0, start)]
+        settled: set[tuple[int, Point]] = set()
+        while heap:
+            cost, t, v = heappop(heap)
+            if (t, v) in settled:
+                continue
+            settled.add((t, v))
+            if len(settled) > node_cap:
+                return False, True
+            nz = _sparse(v)
+            if t == n_steps - 1:
+                w = forward_at.get(nz)
+                if w is None:
+                    w = forward_at[nz] = forwards([seed], [nz])[0]
+                if cost + w <= x:
+                    return True, False
+                continue
+            cheap = moves_at.get(nz)
+            if cheap is None:
+                cheap = moves_at[nz] = _cheap_moves(model, d, [seed], [nz], star, cut)[0]
+            for m, w in zip(*cheap):
+                nc = cost + w
+                if nc <= x:
+                    q = step(v, *star[m])
+                    key = (t + 1, q)
+                    if nc < best.get(key, inf):
+                        best[key] = nc
+                        heappush(heap, (nc, t + 1, q))
+        return False, False
+
+    out: list[tuple[bool, bool]] = []
+    for i in range(0, len(seeds), _PROBE_BLOCK):
+        block = seeds[i:i + _PROBE_BLOCK]
+        moves_at: list[dict[Sparse, Cheap]] = [{} for _ in block]
+        forward_at: list[dict[Sparse, float]] = [{} for _ in block]
+        level: list[dict[Sparse, float]] = [{(): 0.0} for _ in block]  # v -> least cost
+        room = [node_cap] * len(block)
+        for t in range(n_steps):
+            terminal = t == n_steps - 1
+            tables = forward_at if terminal else moves_at
+            todo_r, todo_v = [], []
+            for r, states in enumerate(level):
+                if len(states) > room[r]:
+                    level[r] = {}
+                    continue
+                room[r] -= len(states)
+                new = [v for v in states if v not in tables[r]]
+                todo_v += new
+                todo_r += [r] * len(new)
+            todo_s = [block[r] for r in todo_r]
+            got = (forwards(todo_s, todo_v) if terminal
+                   else _cheap_moves(model, d, todo_s, todo_v, star, cut))
+            for r, v, g in zip(todo_r, todo_v, got):
+                tables[r][v] = g
+            if terminal:
+                break
+            for r, states in enumerate(level):
+                nxt: dict[Sparse, float] = {}
+                for v, cost in states.items():
+                    for m, w in zip(*moves_at[r][v]):
+                        nc = cost + w
+                        if nc <= x:
+                            q = _shifted(v, *star[m])
+                            if nc < nxt.get(q, inf):
+                                nxt[q] = nc
+                level[r] = nxt
+        out += [search(seed, moves_at[r], forward_at[r]) for r, seed in enumerate(block)]
+    return out
 
 
 def search_cross_probe(d: int, model: WeightModel, replicates: int, *,
@@ -370,18 +486,13 @@ def search_cross_probe(d: int, model: WeightModel, replicates: int, *,
     x = 9.0 * math.log(d) / (4.0 * a * d)
     y = 32.0 * math.log(d) / (a * d)
     ortho_axis = p + 1  # first axis outside both the subspace and the forward axis
-    origin = (0,) * d
 
-    def one(seed: int) -> tuple[bool, bool, bool]:
-        seeded = model.with_seed(seed)
-        tau = seeded.edge_weight(EdgeId(origin, ortho_axis))
-        found, capped = _fast_path_exists(seeded, d, p, n_steps, x, node_cap)
-        return tau <= y, found, capped
-
-    rows = [one(seed) for seed in replicate_seeds(model, d, replicates)]
-    tau_ok = np.array([r[0] for r in rows])
-    path_ok = np.array([r[1] for r in rows])
-    capped = sum(1 for r in rows if r[2])
+    seeds = replicate_seeds(model, d, replicates)
+    taus = edge_units(seeds, d, [()] * replicates, [(ortho_axis, 1)])
+    tau_ok = np.array([model.quantile(u) <= y for u in taus[:, 0].tolist()])
+    paths = _fast_paths_exist(model, seeds, d, p, n_steps, x, node_cap)
+    path_ok = np.array([found for found, _ in paths])
+    capped = sum(1 for _, c in paths if c)
     both = int(np.count_nonzero(tau_ok & path_ok))
     return SearchCrossReport(
         d=d,

@@ -18,18 +18,23 @@ The states depend on the seed, so the cache belongs to one instance:
 ``with_seed`` builds a new model with an empty one, and the cache takes
 no part in equality, hashing or ``repr``.
 
-``WeightModel.star_weights(v, axes)`` is the batch form of the oracle: it
-returns the weights of the two edges along each axis at v (the edge to
-v + e_axis, then the edge to v - e_axis) and hashes all their keys in
-lockstep as numpy ``uint64`` arrays, one vectorized SplitMix64 round per
-key word. uint64 arithmetic wraps mod 2^64 exactly like the scalar fold,
-and the bits-to-unit map rounds the same in numpy as in Python (its
-+ 0.5 rounds to even above 2^52 in both, and both clamp 1.0 to
-``_Y_MAX``), so the uniforms are the scalar ones bit for bit. The quantile
-step stays scalar: ``np.log1p`` differs from ``math.log1p`` in the last
-ulp on about 10% of inputs, so a vectorized quantile would change the
-weights. Each weight therefore goes through ``quantile`` one at a time,
-exactly as in ``edge_weight``.
+``edge_units(seeds, d, verts, moves)`` is the batch form of the oracle,
+for many (seed, vertex) pairs at once: it returns the units of the edges
+that each of ``moves`` crosses from each vertex, each under its vertex's
+own seed, and hashes all their keys in lockstep as numpy ``uint64``
+arrays, one vectorized SplitMix64 round per key word. Each key starts
+from its seed's state after the dimension word, ``fold64(seed, (d,))``,
+and each word's row comes from the vertices' coordinates, given sparse
+(their nonzero entries), so no key matrix is ever built. uint64
+arithmetic wraps mod 2^64 exactly like the scalar fold, and the
+bits-to-unit map rounds the same in numpy as in Python (its + 0.5 rounds
+to even above 2^52 in both, and both clamp 1.0 to ``_Y_MAX``), so the
+units are the scalar ones bit for bit. The quantile step stays with the
+caller and stays scalar: ``np.log1p`` differs from ``math.log1p`` in the
+last ulp on about 10% of inputs, so a vectorized quantile would change
+the weights. ``WeightModel.quantile_cut(x)`` bounds the units whose
+weight can be at most x, so a caller that prunes weights above x sends
+only those units through ``quantile``.
 
 Supported families:
 
@@ -44,13 +49,15 @@ Supported families:
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedModel
-from .lattice import EdgeId, Point
+from .lattice import EdgeId
 
 U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -65,6 +72,8 @@ _Y_MAX = 1.0 - 2.0**-53
 _GOLDEN_U = np.uint64(_GOLDEN)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
+_ONE_U = np.uint64(1)
+_ALL_ONES_U = np.uint64(U64)
 
 
 def mix64(z: int) -> int:
@@ -75,13 +84,17 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_inplace(z: np.ndarray) -> None:
-    """mix64 applied elementwise to a uint64 array, in place."""
-    z ^= z >> 30
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """mix64 applied elementwise to a uint64 array, in place; ``tmp`` is
+    scratch space of z's shape."""
+    np.right_shift(z, 30, out=tmp)
+    z ^= tmp
     z *= _MUL1
-    z ^= z >> 27
+    np.right_shift(z, 27, out=tmp)
+    z ^= tmp
     z *= _MUL2
-    z ^= z >> 31
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
 
 
 def fold64(seed: int, words) -> int:
@@ -94,6 +107,61 @@ def fold64(seed: int, words) -> int:
     for w in words:
         h = mix64((h + _GOLDEN) ^ (w & U64))
     return h
+
+
+def edge_units(seeds, d: int, verts, moves) -> np.ndarray:
+    """Oracle units of the edges that ``moves`` cross from S vertices of Z^d.
+
+    ``verts[s]`` lists the nonzero coordinates of vertex s flat, as
+    (i, x_i, j, x_j, ...) with each index once, and ``seeds[s]`` is the
+    seed of its realization. ``moves`` lists (axis, delta) pairs, with
+    delta = +1 or -1. Entry (s, m) of the (S, len(moves)) float64 result is
+    ``bits_to_unit(fold64(seeds[s], (d, axis, *base)))`` for the edge
+    between vertex s and vertex s + delta e_axis: the unit whose
+    ``quantile`` is that edge's ``edge_weight``. All S x len(moves) keys
+    are hashed in one pass of d + 1 vectorized rounds.
+    """
+    states = {s: fold64(s, (d,)) for s in set(seeds)}
+    h = np.empty((len(verts), len(moves)), dtype=np.uint64)
+    tmp = np.empty_like(h)
+    h[:] = np.array([states[s] for s in seeds], dtype=np.uint64)[:, None]
+    h += _GOLDEN_U
+    h ^= np.array([axis for axis, _ in moves], dtype=np.uint64)
+    _mix64_inplace(h, tmp)
+    # every nonzero coordinate as (index, vertex, value mod 2^64), by index
+    flat = list(chain.from_iterable(verts))
+    index = np.array(flat[::2], dtype=np.intp)
+    vertex = np.repeat(np.arange(len(verts)), [len(v) // 2 for v in verts])
+    try:  # values inside int64 convert without making a Python int each
+        value = np.array(flat[1::2], dtype=np.int64).view(np.uint64)
+    except OverflowError:
+        value = np.array([c & U64 for c in flat[1::2]], dtype=np.uint64)
+    order = np.argsort(index, kind="stable")
+    vertex, value = vertex[order], value[order]
+    bounds = np.searchsorted(index[order], np.arange(d + 1)).tolist()
+    # the moves whose edge has its base one below the vertex on their axis
+    lowered: dict[int, list[int]] = {}
+    for m, (axis, delta) in enumerate(moves):
+        if delta < 0:
+            lowered.setdefault(axis, []).append(m)
+    for i in range(d):
+        h += _GOLDEN_U
+        a, b = bounds[i], bounds[i + 1]
+        rows, vals = vertex[a:b], value[a:b]
+        if a < b:
+            h[rows] ^= vals[:, None]
+        for m in lowered.get(i, ()):
+            # c - 1 in place of c: c ^ (c - 1) is all ones at c = 0
+            h[:, m] ^= _ALL_ONES_U
+            if a < b:
+                h[rows, m] ^= vals ^ (vals - _ONE_U) ^ _ALL_ONES_U
+        _mix64_inplace(h, tmp)
+    h >>= 11
+    units = tmp.view(np.float64)
+    units[:] = h
+    units += 0.5
+    units *= 2.0**-53
+    return np.minimum(units, _Y_MAX, out=units)
 
 
 def derive_seed(root_seed: int, *indices: int) -> int:
@@ -129,6 +197,15 @@ def bits_to_unit(h: int) -> float:
     """
     u = ((h >> 11) + 0.5) * 2.0**-53
     return u if u < 1.0 else _Y_MAX
+
+
+def _double_bits(u: float) -> int:
+    """The bits of a double >= 0, as an integer that orders like u."""
+    return struct.unpack("<q", struct.pack("<d", u))[0]
+
+
+def _bits_double(b: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", b))[0]
 
 
 @dataclass(frozen=True)
@@ -258,30 +335,28 @@ class WeightModel:
             h = z ^ (z >> 31)
         return self.quantile(bits_to_unit(h))
 
-    def star_weights(self, v: Point, axes) -> list[float]:
-        """Weights of the edges along ``axes`` at v, in one batch.
+    def quantile_cut(self, x: float) -> float:
+        """A unit c with ``quantile(u) > x`` for every unit u > c.
 
-        For each axis in order: the weight of ``EdgeId(v, axis)``, then that
-        of ``EdgeId(v - e_axis, axis)``. Equal bit for bit to the
-        ``edge_weight`` list; see the module docstring for why.
+        The bisection over the doubles in [0, ``_Y_MAX``] finds the
+        largest u with ``quantile(u) <= x``, which is F(x) as the quantile
+        rounds it. ``quantile`` is nondecreasing in doubles for the
+        uniform and table families, whose steps are each one correctly
+        rounded operation. The 2^-40 added covers the last-ulp errors of
+        ``math.log1p`` in the exp family: there the quantile's slope is at
+        least 1/a, so a unit 2^-40 higher weighs 2^-40/a more, far beyond
+        a few ulps of any weight (all are below 38/a).
         """
-        axes = list(axes)
-        d = len(v)
-        # column k is key k after its dimension word: the axis, then the
-        # coordinates, with v[axis_i] - 1 in place of v[axis_i] for k = 2i+1
-        words = np.empty((d + 1, 2 * len(axes)), dtype=np.uint64)
-        words[0] = np.repeat(np.array(axes, dtype=np.uint64), 2)
-        words[1:] = np.array([c & U64 for c in v], dtype=np.uint64)[:, None]
-        words[[axis + 1 for axis in axes], range(1, 2 * len(axes), 2)] = np.array(
-            [(v[axis] - 1) & U64 for axis in axes], dtype=np.uint64)
-        # the state after the seed and the dimension word is shared by all keys
-        h = np.full(2 * len(axes), fold64(self.seed, (d,)), dtype=np.uint64)
-        for w in words:
-            h += _GOLDEN_U
-            h ^= w
-            _mix64_inplace(h)
-        units = np.minimum(((h >> 11).astype(np.float64) + 0.5) * 2.0**-53, _Y_MAX).tolist()
-        return [self.quantile(u) for u in units]
+        lo, hi = 0, _double_bits(_Y_MAX)
+        if self.quantile(0.0) > x:
+            return 0.0
+        while lo < hi:  # quantile(lo) <= x throughout
+            mid = (lo + hi + 1) // 2
+            if self.quantile(_bits_double(mid)) <= x:
+                lo = mid
+            else:
+                hi = mid - 1
+        return _bits_double(lo) + 2.0**-40
 
     def with_seed(self, seed: int) -> "WeightModel":
         """``dataclasses.replace(self, seed=seed)`` without re-running the

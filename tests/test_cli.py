@@ -345,8 +345,8 @@ def test_cli_import_leaves_quadrature_unloaded():
 TABLE_POINTS = json.dumps([[0.0, 0.0], [0.3, 0.3], [0.6, 0.3], [0.9, 1.0]])
 
 # c11's eight commands, then the race in replicates mode at d = 2, 3 and 50,
-# the table and uniform families, and the exact sampler behind the
-# normalized statistics
+# the table and uniform families, the exact sampler behind the normalized
+# statistics, and the cheap-detour probe at d = 64 and 128
 DIGEST_COMMANDS = {
     "bounds": ["bounds", "--d", "100", "--a", "1.0", "--N", "2000"],
     "sample-slab": ["sample-slab", "--d", "4", "--reps", "30", "--seed", "5"],
@@ -371,6 +371,8 @@ DIGEST_COMMANDS = {
                            "--seed", "5", "--sampler", "slab"],
     "ui-tail-slab": ["ui-tail", "--d", "4", "--M", "2.0", "--reps", "20", "--seed", "5",
                      "--sampler", "slab"],
+    "search-cross-d64": ["search-cross", "--d", "64", "--reps", "30", "--seed", "5"],
+    "search-cross-d128": ["search-cross", "--d", "128", "--reps", "8", "--seed", "5"],
 }
 
 # SHA-256 of each result file, by (command name, format)
@@ -403,6 +405,10 @@ DIGESTS = {
     ("concentration-slab", "json"): "d12f3b93b2fe92b9196f63b14a2fc3f1c306e6ca50768e06395abd2c839692a6",
     ("ui-tail-slab", "csv"): "82c554c80d313ff6b2a592eb2f1ae5512b050da3b7f20721b1d9c06aa3722bf9",
     ("ui-tail-slab", "json"): "8110a5b438b9c21085d1e211d90d970a71b6bc0cf6e09dc937c905a4af757735",
+    ("search-cross-d64", "csv"): "a6b26b91d63140cf3d04adab9ba307ef6b5867cf9d0d226b88c4065167b3e2b5",
+    ("search-cross-d64", "json"): "7d3dcd08d2b7908d1a73d0345acb3159e0f7c37c5e7efa6e1cc453f0d642f614",
+    ("search-cross-d128", "csv"): "936f4fdb8a4114a0fe8fc3546396c5251918c8c5a4840a1953062c717fdc4946",
+    ("search-cross-d128", "json"): "0eed17e85ef49acf29d8194f9902602325e3a65875a7e040bdcd2d1fcd3630fb",
 }
 
 

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from fppslab.errors import DomainError, SamplerMismatch
 from fppslab.experiments import (
     ExperimentConfig,
-    _fast_path_exists,
+    _fast_paths_exist,
     concentration_curve,
     ks_statistic,
     normalized_values,
+    replicate_seeds,
     run_slab_mc,
     sample_crossing_values,
     search_cross_probe,
@@ -45,6 +46,10 @@ def test_config_validation():
         cfg(d=(1,))
     with pytest.raises(DomainError):
         cfg(d=())
+    # run_slab_mc keys its result by d, so a repeated d would be sampled twice
+    # and reported once
+    with pytest.raises(DomainError):
+        cfg(d=(5, 5))
     with pytest.raises(DomainError):
         cfg(budget_cap=0)
 
@@ -184,16 +189,56 @@ def test_search_cross_probe_reports():
         search_cross_probe(7, model, 10)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(d=st.sampled_from((8, 16, 32)), seed=st.integers(0, 2**64 - 1),
-       n_steps=st.integers(1, 3), budget=st.floats(0.1, 2.5),
-       node_cap=st.sampled_from((1, 2, 3, 8, 40, 1_000_000)))
-def test_fast_path_search_matches_scalar_oracle(d, seed, n_steps, budget, node_cap):
-    # budget scales the probe's x = 9 log(d) / (4 d); small caps hit the capped exit
-    m = WeightModel(family="exp", a=1.0, seed=seed)
+# a quantile table with atoms at 0.3 (mass 0.3) and 1.0 (mass 0.1); density 1 at 0+
+ATOM_TABLE = ((0.0, 0.0), (0.3, 0.3), (0.6, 0.3), (0.9, 1.0))
+FAMILIES = {"exp": dict(family="exp", a=1.0), "uniform": dict(family="uniform", a=1.0),
+            "table": dict(family="table", a=1.0, points=ATOM_TABLE)}
+CAPS = (1, 2, 3, 8, 40, 1_000_000)
+
+
+def assert_batched_search_matches_scalar(model, seeds, d, n_steps, x, node_cap):
+    got = _fast_paths_exist(model, seeds, d, d // 2, n_steps, x, node_cap)
+    want = [fast_path_exists_scalar(model.with_seed(s), d, d // 2, n_steps, x, node_cap)
+            for s in seeds]
+    assert got == want
+
+
+@settings(derandomize=True, max_examples=180, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), d=st.sampled_from((8, 16, 32, 64)),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+       n_steps=st.integers(1, 4), budget=st.floats(0.1, 2.5),
+       node_cap=st.sampled_from(CAPS))
+def test_fast_path_search_matches_scalar_oracle(family, d, seeds, n_steps, budget, node_cap):
+    # budget scales the probe's x = 9 log(d) / (4 d); small caps hit the capped
+    # exit, and a block of seeds shares its hash passes
     x = budget * 9.0 * math.log(d) / (4.0 * d)
-    args = (m, d, d // 2, n_steps, x, node_cap)
-    assert _fast_path_exists(*args) == fast_path_exists_scalar(*args)
+    assert_batched_search_matches_scalar(WeightModel(**FAMILIES[family]), seeds, d, n_steps,
+                                         x, node_cap)
+
+
+@pytest.mark.parametrize("node_cap", CAPS)
+@pytest.mark.parametrize("d, n_steps", [(8, 1), (8, 2), (16, 3), (32, 2)])
+def test_fast_path_search_with_ties_on_the_cut(d, n_steps, node_cap):
+    # x sits exactly on the table's atom at 0.3, so 30% of all edges weigh
+    # exactly x: ties on the unit cut, and partial costs equal to x
+    model = WeightModel(**FAMILIES["table"], seed=11)
+    seeds = replicate_seeds(model, d, 9)
+    assert_batched_search_matches_scalar(model, seeds, d, n_steps, 0.3, node_cap)
+
+
+def test_search_cross_probe_makes_no_scalar_oracle_call(monkeypatch):
+    # the first steps and the forward edges go through the batch oracle too
+    calls = []
+    scalar = WeightModel.edge_weight
+
+    def counted(self, e):
+        calls.append(e)
+        return scalar(self, e)
+
+    monkeypatch.setattr(WeightModel, "edge_weight", counted)
+    rep = search_cross_probe(64, WeightModel(family="exp", a=1.0, seed=9), 12)
+    assert rep.p_hat_path > 0.0
+    assert calls == []
 
 
 def test_normalized_mean_drifts_toward_one():

@@ -21,11 +21,18 @@ from fppslab.weights import (
     bits_to_unit,
     couple_check,
     derive_seed,
+    edge_units,
     fold64,
     verify_density_condition,
 )
 
 from oracles import edge_weight_reference, table_quantile_bruteforce, unmix64
+
+
+def sparse(v):
+    """A vertex as ``edge_units`` takes it: its nonzero coordinates, flat."""
+    return tuple(w for i, c in enumerate(v) if c for w in (i, c))
+
 
 # table for F with an atom at x = 1.0 of mass 0.4 (quantile flat on (0.3, 0.7])
 JUMP_TABLE = ((0.0, 0.0), (0.3, 1.0), (0.7, 1.0), (1.0, 2.0))
@@ -143,7 +150,7 @@ def test_all_ones_hash_gives_a_finite_weight():
     assert fold64(5, (3, 1, *e.base)) == U64
     scalar = model.edge_weight(e)
     assert 0.0 < scalar < math.inf
-    batch = model.star_weights(e.base, [1])[0]
+    batch = model.quantile(edge_units([5], 3, [sparse(e.base)], [(1, 1)])[0, 0])
     reference = edge_weight_reference(model, e)
     assert scalar.hex() == batch.hex() == reference.hex()
 
@@ -264,17 +271,43 @@ COORDS = st.one_of(
     [("exp", 1.3, None), ("uniform", 0.7, None), ("table", None, ATOM_TABLE)],
 )
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(data=st.data(), d=st.integers(2, 300), seed=st.integers(-(2**64), 2**65))
-def test_star_weights_match_edge_weight_bit_for_bit(family, a, points, data, d, seed):
-    m = WeightModel(family=family, a=a, points=points, seed=seed)
-    v = tuple(data.draw(st.lists(COORDS, min_size=d, max_size=d)))
+@given(data=st.data(), d=st.integers(2, 300),
+       seeds=st.lists(st.integers(-(2**64), 2**65), min_size=1, max_size=4))
+def test_edge_units_match_edge_weight_bit_for_bit(family, a, points, data, d, seeds):
+    # one batch over several (seed, vertex) pairs, each pair's edges under
+    # its own seed; a seed may repeat, and so may a vertex. Later vertices
+    # redraw up to three coordinates of the first, as a search's neighbours do
+    models = [WeightModel(family=family, a=a, points=points, seed=seed) for seed in seeds]
+    verts = [tuple(data.draw(st.lists(COORDS, min_size=d, max_size=d)))]
+    for _ in seeds[1:]:
+        v = list(verts[0])
+        for i in data.draw(st.lists(st.integers(0, d - 1), max_size=3)):
+            v[i] = data.draw(COORDS)
+        verts.append(tuple(v))
     axes = data.draw(st.lists(st.integers(0, d - 1), unique=True))
+    moves = [(axis, delta) for axis in axes for delta in data.draw(st.permutations((1, -1)))]
     expected = []
-    for axis in axes:
-        below = v[:axis] + (v[axis] - 1,) + v[axis + 1:]
-        expected += [m.edge_weight(EdgeId(v, axis)), m.edge_weight(EdgeId(below, axis))]
-    got = m.star_weights(v, axes)
-    assert [w.hex() for w in got] == [w.hex() for w in expected]
+    for m, v in zip(models, verts):
+        for axis, delta in moves:
+            base = v if delta > 0 else v[:axis] + (v[axis] - 1,) + v[axis + 1:]
+            expected.append(m.edge_weight(EdgeId(base, axis)).hex())
+    units = edge_units(seeds, d, [sparse(v) for v in verts], moves)
+    assert units.shape == (len(seeds), len(moves))
+    got = [m.quantile(u).hex() for m, row in zip(models, units.tolist()) for u in row]
+    assert got == expected
+
+
+@pytest.mark.parametrize("family, points", [("exp", None), ("uniform", None),
+                                            ("table", ATOM_TABLE)])
+@pytest.mark.parametrize("x", [0.0, 1e-300, 0.01, 0.3, 0.7, 1.0, 5.0, 40.0])
+def test_quantile_cut_bounds_the_units_at_most_x(family, points, x):
+    # every unit above the cut weighs more than x; the cut is at most
+    # 2^-40 above the largest unit that does not
+    m = WeightModel(family=family, a=1.0, points=points)
+    cut = m.quantile_cut(x)
+    above = [u for u in (cut + 2.0**-52, cut * (1 + 2.0**-40), (cut + 1.0) / 2) if u < 1.0]
+    assert all(m.quantile(u) > x for u in above)
+    assert m.quantile(min(max(cut - 2.0**-39, 0.0), 1.0 - 2.0**-53)) <= x
 
 
 # seeds below 0 and at or beyond 2^64 as well as in range; fold64 reduces
