@@ -312,16 +312,19 @@ class SearchCrossReport:
 
 # Replicates whose searches share one hash pass per level. A larger block
 # spreads numpy's per-call cost over more keys but holds all its members'
-# levels at once: blocks of 8 ran d = 64 about 25% faster than blocks of 4,
-# but added 2 MB of peak RSS at d = 256 (60 replicates) against 1.2 MB.
-_PROBE_BLOCK = 4
+# levels at once. In a fresh interpreter the probe's peak RSS at d = 256
+# (60 replicates) read 31.8-31.9 MB with blocks of 8, 32.0 with 12,
+# 32.8 with 16, 32.9-33.0 with 17-18 and 33.3-33.4 with 20, against
+# 32.4-32.6 with the blocks of 4 and per-seed tables this sweep replaced;
+# at d = 64 (2,000 replicates) it read 31.1-31.4 MB for all of them,
+# against 31.8-31.9. 16 is the largest block within 0.5 MB of the old
+# peak at d = 256.
+_PROBE_BLOCK = 16
 # the most keys one edge_units pass hashes, so its arrays stay in cache
 _PASS_KEYS = 1 << 14
 
 # a vertex as its nonzero coordinates, flat and by index: (i, x_i, j, x_j, ...)
 Sparse = tuple[int, ...]
-# the moves of a vertex that may be cheap, and their weights: (indices, weights)
-Cheap = tuple[list[int], list[float]]
 
 
 def _sparse(v: Point) -> Sparse:
@@ -331,23 +334,22 @@ def _sparse(v: Point) -> Sparse:
 
 def _shifted(nz: Sparse, axis: int, delta: int) -> Sparse:
     """``_sparse(step(v, axis, delta))`` for ``nz = _sparse(v)``."""
-    coords = dict(zip(nz[::2], nz[1::2]))
-    c = coords.get(axis, 0) + delta
-    if c:
-        coords[axis] = c
-    else:
-        del coords[axis]
-    return tuple(w for item in sorted(coords.items()) for w in item)
+    for k in range(0, len(nz), 2):
+        if nz[k] == axis:
+            c = nz[k + 1] + delta
+            return nz[:k] + (axis, c) + nz[k + 2:] if c else nz[:k] + nz[k + 2:]
+        if nz[k] > axis:
+            return nz[:k] + (axis, delta) + nz[k:]
+    return nz + (axis, delta)
 
 
 def _cheap_moves(model: WeightModel, d: int, seeds: list[int], verts: list[Sparse],
-                 moves, cut: float) -> list[Cheap]:
-    """For each (seed, vertex) pair, the indices and weights of the
+                 moves, cut: float):
+    """For each (seed, vertex) pair in turn, the indices and weights of the
     ``moves`` whose oracle unit is at most ``cut``, in move order. The
-    units come from ``edge_units`` passes of at most ``_PASS_KEYS`` keys
-    and the weights from the scalar ``quantile``, so each weight is its
-    edge's ``edge_weight`` bit for bit."""
-    out: list[Cheap] = []
+    units come from ``edge_units`` passes of at most ``_PASS_KEYS`` keys,
+    made as the pairs are consumed, and the weights from the scalar
+    ``quantile``, so each weight is its edge's ``edge_weight`` bit for bit."""
     quantile = model.quantile
     size = max(1, _PASS_KEYS // len(moves))
     for lo in range(0, len(verts), size):
@@ -356,41 +358,47 @@ def _cheap_moves(model: WeightModel, d: int, seeds: list[int], verts: list[Spars
         ends = np.cumsum(np.bincount(rows, minlength=len(units))).tolist()
         cols, us = cols.tolist(), units[rows, cols].tolist()
         for a, b in zip([0] + ends, ends):
-            out.append((cols[a:b], [quantile(u) for u in us[a:b]]))
-    return out
+            yield cols[a:b], [quantile(u) for u in us[a:b]]
 
 
 def _fast_paths_exist(model: WeightModel, seeds: list[int], d: int, p: int, n_steps: int,
                       x: float, node_cap: int) -> list[tuple[bool, bool]]:
-    """Best-first search for an n-step path with total weight <= x, per seed.
+    """Whether an n-step path with total weight <= x exists, per seed.
 
     The first n-1 steps move inside the subspace of axes 1..p; the last
-    step is the forward edge. Partial costs above x are pruned, so only
-    the cheap subtree is ever explored. Returns (found, capped) for each
-    seed; when the node cap bites, ``found`` is still a valid one-sided hit.
+    step is the forward edge. Returns (found, capped) for each seed: those
+    of a best-first search over the states (t, v) that prunes partial
+    costs above x and gives up, capped, once it has settled more than
+    ``node_cap`` states. When the cap bites, ``found`` is False.
 
-    The seeds run in blocks of ``_PROBE_BLOCK``. For each block the
-    searches' states are weighed level by level first: the states (seed,
-    t, v) whose least t-step cost is at most x, every block member's at
-    once, have their 2p subspace edges (at t = n-1, their forward edge)
-    hashed together, in ``edge_units`` passes of at most ``_PASS_KEYS``
-    keys. Only units at or below
-    ``model.quantile_cut(x)`` go through the scalar ``quantile``: any other
-    edge weighs more than x, and the search would prune it. A seed stops
-    being weighed ahead once its states would outnumber ``node_cap``.
-    Each seed's search then runs alone, as edge by edge, and weighs any
-    vertex the levels left out when it reaches it, so (found, capped) and
-    the cap's bound on the work are those of the edge-by-edge search.
+    The seeds run in blocks of ``_PROBE_BLOCK``, and each block is swept
+    level by level: level t maps each vertex v to the least cost of a
+    t-step path to it whose partial costs are all at most x, every block
+    member's at once. A level's moves (2p subspace edges; at t = n-1, the
+    forward edge) are hashed together in ``edge_units`` passes of at most
+    ``_PASS_KEYS`` keys, and only units at or below
+    ``model.quantile_cut(x)`` go through the scalar ``quantile``: any
+    other edge weighs more than x and would be pruned. Level t+1 keeps
+    each reached vertex's least ``cost + w`` among those at most x, and
+    the seed's path exists iff the level past the forward edge is not
+    empty.
+
+    That is the best-first answer whenever the seed's levels 0..n-1 hold
+    at most ``node_cap`` states in all. The levels run the search's own
+    tests (``nc <= x`` and ``nc < best``) on the same float sums, added in
+    path order; weights are >= 0 and float addition is monotone, so both
+    find each state's least cost, and the search settles only states of
+    the levels. It therefore cannot pass the cap, and it finds a path iff
+    some terminal state v has ``level_cost[v] + forward_weight(v) <= x``.
+    A seed whose levels outgrow the cap leaves the sweep there, and only
+    for it does the best-first search run, weighing each state it settles
+    as it settles it, so its work stays bounded by the cap.
     """
     cut = model.quantile_cut(x)
     star = [(axis, delta) for axis in range(1, p + 1) for delta in (1, -1)]
     forward = [(0, 1)]
 
-    def forwards(block_seeds, verts):
-        units = edge_units(block_seeds, d, verts, forward)[:, 0].tolist()
-        return [model.quantile(u) if u <= cut else inf for u in units]
-
-    def search(seed, moves_at, forward_at) -> tuple[bool, bool]:
+    def search(seed: int) -> tuple[bool, bool]:
         start = (0,) * d
         best: dict[tuple[int, Point], float] = {(0, start): 0.0}
         heap: list[tuple[float, int, Point]] = [(0.0, 0, start)]
@@ -402,20 +410,14 @@ def _fast_paths_exist(model: WeightModel, seeds: list[int], d: int, p: int, n_st
             settled.add((t, v))
             if len(settled) > node_cap:
                 return False, True
-            nz = _sparse(v)
-            if t == n_steps - 1:
-                w = forward_at.get(nz)
-                if w is None:
-                    w = forward_at[nz] = forwards([seed], [nz])[0]
-                if cost + w <= x:
-                    return True, False
-                continue
-            cheap = moves_at.get(nz)
-            if cheap is None:
-                cheap = moves_at[nz] = _cheap_moves(model, d, [seed], [nz], star, cut)[0]
+            terminal = t == n_steps - 1
+            cheap = next(_cheap_moves(model, d, [seed], [_sparse(v)],
+                                      forward if terminal else star, cut))
             for m, w in zip(*cheap):
                 nc = cost + w
                 if nc <= x:
+                    if terminal:
+                        return True, False
                     q = step(v, *star[m])
                     key = (t + 1, q)
                     if nc < best.get(key, inf):
@@ -426,40 +428,36 @@ def _fast_paths_exist(model: WeightModel, seeds: list[int], d: int, p: int, n_st
     out: list[tuple[bool, bool]] = []
     for i in range(0, len(seeds), _PROBE_BLOCK):
         block = seeds[i:i + _PROBE_BLOCK]
-        moves_at: list[dict[Sparse, Cheap]] = [{} for _ in block]
-        forward_at: list[dict[Sparse, float]] = [{} for _ in block]
-        level: list[dict[Sparse, float]] = [{(): 0.0} for _ in block]  # v -> least cost
+        # v -> least cost, per member; None once its levels outgrow the cap
+        level: list[dict[Sparse, float] | None] = [{(): 0.0} for _ in block]
         room = [node_cap] * len(block)
         for t in range(n_steps):
-            terminal = t == n_steps - 1
-            tables = forward_at if terminal else moves_at
-            todo_r, todo_v = [], []
+            moves = forward if t == n_steps - 1 else star
+            todo_r: list[int] = []
+            todo_v: list[Sparse] = []
             for r, states in enumerate(level):
+                if states is None:
+                    continue
                 if len(states) > room[r]:
-                    level[r] = {}
+                    level[r] = None
                     continue
                 room[r] -= len(states)
-                new = [v for v in states if v not in tables[r]]
-                todo_v += new
-                todo_r += [r] * len(new)
-            todo_s = [block[r] for r in todo_r]
-            got = (forwards(todo_s, todo_v) if terminal
-                   else _cheap_moves(model, d, todo_s, todo_v, star, cut))
-            for r, v, g in zip(todo_r, todo_v, got):
-                tables[r][v] = g
-            if terminal:
-                break
-            for r, states in enumerate(level):
-                nxt: dict[Sparse, float] = {}
-                for v, cost in states.items():
-                    for m, w in zip(*moves_at[r][v]):
-                        nc = cost + w
-                        if nc <= x:
-                            q = _shifted(v, *star[m])
-                            if nc < nxt.get(q, inf):
-                                nxt[q] = nc
-                level[r] = nxt
-        out += [search(seed, moves_at[r], forward_at[r]) for r, seed in enumerate(block)]
+                todo_v += states
+                todo_r += [r] * len(states)
+            nxt: list[dict[Sparse, float] | None] = [
+                None if states is None else {} for states in level]
+            got = _cheap_moves(model, d, [block[r] for r in todo_r], todo_v, moves, cut)
+            for r, v, (ms, ws) in zip(todo_r, todo_v, got):
+                cost, reach = level[r][v], nxt[r]
+                for m, w in zip(ms, ws):
+                    nc = cost + w
+                    if nc <= x:
+                        q = _shifted(v, *moves[m])
+                        if nc < reach.get(q, inf):
+                            reach[q] = nc
+            level = nxt
+        out += [search(seed) if ends is None else (bool(ends), False)
+                for seed, ends in zip(block, level)]
     return out
 
 

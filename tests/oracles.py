@@ -4,12 +4,12 @@ These deliberately share no code with the package internals they verify:
 the slab and hyperplane oracles are a dense Bellman-Ford relaxation on an
 explicit truncated graph, the quantile oracle reconstructs the forward CDF
 from tabulated inverse pairs on a dense grid and scans for the infimum, the
-cheap-detour oracle is the probe's search with one scalar ``edge_weight``
-call per edge, the draw-source oracle turns each whole block of variates
-into a list at once, and the edge-weight oracle folds the whole edge key
-from the seed on every call, with no cached state. ``unmix64`` inverts
-the hash's finalizer, so a test can build an edge whose key hashes to
-chosen bits.
+cheap-detour oracles are the probe's search and its levels with one
+scalar ``edge_weight`` call per edge, the draw-source oracle turns each
+whole block of variates into a list at once, and the edge-weight oracle
+folds the whole edge key from the seed on every call, with no cached
+state. ``unmix64`` inverts the hash's finalizer, so a test can build an
+edge whose key hashes to chosen bits.
 """
 
 from __future__ import annotations
@@ -144,6 +144,29 @@ def fast_path_exists_scalar(model, d: int, p: int, n_steps: int, x: float,
                     best[key] = nc
                     heappush(heap, (nc, t + 1, q))
     return False, False
+
+
+def cheap_state_count(model, d: int, p: int, n_steps: int, x: float) -> int:
+    """How many states (t, v) with t < n_steps the cheap-detour search can
+    settle: those reached by a t-step path inside axes 1..p whose partial
+    costs are all at most x. A layered relaxation, one scalar
+    ``edge_weight`` call per edge; the search is capped on a seed iff this
+    count exceeds its node cap and no path is found first."""
+    level = {(0,) * d: 0.0}
+    total = len(level)
+    for _ in range(n_steps - 1):
+        nxt: dict = {}
+        for v, cost in level.items():
+            for axis in range(1, p + 1):
+                for delta in (1, -1):
+                    q = step(v, axis, delta)
+                    nc = cost + model.edge_weight(EdgeId(v, axis) if delta > 0
+                                                  else EdgeId(q, axis))
+                    if nc <= x and nc < nxt.get(q, inf):
+                        nxt[q] = nc
+        level = nxt
+        total += len(level)
+    return total
 
 
 class DrawSourceReference:

@@ -373,6 +373,9 @@ DIGEST_COMMANDS = {
                      "--sampler", "slab"],
     "search-cross-d64": ["search-cross", "--d", "64", "--reps", "30", "--seed", "5"],
     "search-cross-d128": ["search-cross", "--d", "128", "--reps", "8", "--seed", "5"],
+    # a node cap that cuts some replicates' searches off
+    "search-cross-capped": ["search-cross", "--d", "64", "--reps", "30", "--seed", "5",
+                            "--budget-cap", "40"],
 }
 
 # SHA-256 of each result file, by (command name, format)
@@ -409,6 +412,8 @@ DIGESTS = {
     ("search-cross-d64", "json"): "7d3dcd08d2b7908d1a73d0345acb3159e0f7c37c5e7efa6e1cc453f0d642f614",
     ("search-cross-d128", "csv"): "936f4fdb8a4114a0fe8fc3546396c5251918c8c5a4840a1953062c717fdc4946",
     ("search-cross-d128", "json"): "0eed17e85ef49acf29d8194f9902602325e3a65875a7e040bdcd2d1fcd3630fb",
+    ("search-cross-capped", "csv"): "f8850940ece26e3d9a06a405b0f65d20aa3bb901e500ef3e1555f1d7450005b3",
+    ("search-cross-capped", "json"): "b1d54b1a8d2a858f6a9f4da21f70d6fb412caf76ba846fcd1731773711589352",
 }
 
 

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import math
+from heapq import heappop
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fppslab import experiments
 from fppslab.errors import DomainError, SamplerMismatch
 from fppslab.experiments import (
+    _PROBE_BLOCK,
     ExperimentConfig,
     _fast_paths_exist,
     concentration_curve,
@@ -24,10 +27,10 @@ from fppslab.experiments import (
     wilson_interval,
 )
 from fppslab.slab import point_to_hyperplane_time, slab_crossing_time
-from fppslab.weights import WeightModel, derive_seed
+from fppslab.weights import WeightModel, derive_seed, edge_units
 
 from helpers import bootstrap_ci
-from oracles import fast_path_exists_scalar
+from oracles import cheap_state_count, fast_path_exists_scalar
 
 
 def cfg(d=(5,), reps=200, seed=7, family="exp", a=1.0, **kw):
@@ -224,6 +227,58 @@ def test_fast_path_search_with_ties_on_the_cut(d, n_steps, node_cap):
     model = WeightModel(**FAMILIES["table"], seed=11)
     seeds = replicate_seeds(model, d, 9)
     assert_batched_search_matches_scalar(model, seeds, d, n_steps, 0.3, node_cap)
+
+
+@pytest.mark.parametrize("family, budget", [("exp", 2.0), ("table", None)])
+@pytest.mark.parametrize("d", (8, 16, 64))
+def test_fast_path_search_across_blocks(family, d, budget):
+    # 2 blocks and 3 seeds; each cap lies between the state counts of the
+    # first block's seeds, so one block holds seeds whose levels outgrow the
+    # cap and seeds whose levels fit. On the table, x sits on the atom at 0.3.
+    model = WeightModel(**FAMILIES[family], seed=23)
+    n_steps, p = 3, d // 2
+    x = 0.3 if budget is None else budget * 9.0 * math.log(d) / (4.0 * d)
+    seeds = replicate_seeds(model, d, 2 * _PROBE_BLOCK + 3)
+    first = sorted(cheap_state_count(model.with_seed(s), d, p, n_steps, x)
+                   for s in seeds[:_PROBE_BLOCK])
+    assert first[0] < first[-1]
+    for node_cap in (first[0], first[len(first) // 2], first[-1] - 1):
+        assert first[0] <= node_cap < first[-1]
+        assert_batched_search_matches_scalar(model, seeds, d, n_steps, x, node_cap)
+
+
+def test_search_cross_probe_work_count(monkeypatch):
+    # One edge_units pass per level per block of _PROBE_BLOCK = 16, plus the
+    # orthogonal steps' pass: 4 blocks x 3 levels + 1 = 13 for 50 replicates
+    # at d = 64 (40 with blocks of 4). The best-first search runs only for
+    # the seeds whose levels hold more states than the node cap.
+    units, pops = [], []
+
+    def counted_units(*args):
+        units.append(1)
+        return edge_units(*args)
+
+    def counted_pop(heap):
+        item = heappop(heap)
+        pops.append(item[1])
+        return item
+
+    monkeypatch.setattr(experiments, "edge_units", counted_units)
+    monkeypatch.setattr(experiments, "heappop", counted_pop)
+    model = WeightModel(family="exp", a=1.0, seed=9)
+    d, reps = 64, 50
+    search_cross_probe(d, model, reps)
+    assert len(units) <= 13
+    assert pops == []
+
+    node_cap = 40
+    rep = search_cross_probe(d, model, reps, node_cap=node_cap)
+    x = 9.0 * math.log(d) / (4.0 * d)
+    over = [cheap_state_count(model.with_seed(s), d, d // 2, rep.path_steps, x) > node_cap
+            for s in replicate_seeds(model, d, reps)]
+    assert 0 < rep.capped_replicates <= sum(over) < reps
+    # every search pops its start state, the only one with t = 0, once
+    assert pops.count(0) == sum(over)
 
 
 def test_search_cross_probe_makes_no_scalar_oracle_call(monkeypatch):
