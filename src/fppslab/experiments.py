@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from math import inf
 
 import numpy as np
 
 from .eden import race_values
 from .errors import DomainError, SamplerMismatch
-from .lattice import Point, step
+from .lattice import check_dimension
 from .slab import (
     DEFAULT_SETTLED_CAP,
     greedy_concatenation,
@@ -51,8 +50,8 @@ class ExperimentConfig:
             raise DomainError("d_grid must not be empty")
         if len(set(self.d_grid)) < len(self.d_grid):
             raise DomainError(f"d_grid must not repeat a dimension, got {self.d_grid}")
-        if any(d < 2 for d in self.d_grid):
-            raise DomainError(f"all dimensions must be >= 2, got {self.d_grid}")
+        for d in self.d_grid:
+            check_dimension(d)
         if self.budget_cap < 1:
             raise DomainError(f"budget_cap must be >= 1, got {self.budget_cap}")
         object.__setattr__(self, "d_grid", tuple(int(d) for d in self.d_grid))
@@ -327,13 +326,8 @@ _PASS_KEYS = 1 << 14
 Sparse = tuple[int, ...]
 
 
-def _sparse(v: Point) -> Sparse:
-    """v's nonzero coordinates, as ``edge_units`` takes a vertex."""
-    return tuple(w for i, c in enumerate(v) if c for w in (i, c))
-
-
 def _shifted(nz: Sparse, axis: int, delta: int) -> Sparse:
-    """``_sparse(step(v, axis, delta))`` for ``nz = _sparse(v)``."""
+    """The nonzero coordinates of v + delta * e_axis, for those ``nz`` of v."""
     for k in range(0, len(nz), 2):
         if nz[k] == axis:
             c = nz[k + 1] + delta
@@ -361,104 +355,102 @@ def _cheap_moves(model: WeightModel, d: int, seeds: list[int], verts: list[Spars
             yield cols[a:b], [quantile(u) for u in us[a:b]]
 
 
+def _next_level(model: WeightModel, d: int, seeds: list[int],
+                level: list[dict[Sparse, float]], moves, cut: float,
+                x: float) -> list[dict[Sparse, float]]:
+    """One step of the sweep for every seed at once: from ``level[r]``
+    (v -> least cost), each vertex one of ``moves`` reaches within x,
+    mapped to its least ``cost + w``. All seeds' moves share the
+    ``edge_units`` passes, and only units at or below ``cut`` go through the
+    scalar ``quantile``: any other edge weighs more than x."""
+    todo_r: list[int] = []
+    todo_v: list[Sparse] = []
+    for r, states in enumerate(level):
+        todo_v += states
+        todo_r += [r] * len(states)
+    nxt: list[dict[Sparse, float]] = [{} for _ in level]
+    got = _cheap_moves(model, d, [seeds[r] for r in todo_r], todo_v, moves, cut)
+    for r, v, (ms, ws) in zip(todo_r, todo_v, got):
+        cost, reach = level[r][v], nxt[r]
+        for m, w in zip(ms, ws):
+            nc = cost + w
+            if nc <= x:
+                q = _shifted(v, *moves[m])
+                if nc < reach.get(q, inf):
+                    reach[q] = nc
+    return nxt
+
+
+def _keep_cheapest(levels: list[dict[Sparse, float]], k: int, d: int) -> None:
+    """Cut one seed's levels (level t maps v to its least cost) down to the
+    states with the k smallest keys (cost, t, dense v), best-first's order."""
+    keys = []
+    for t, states in enumerate(levels):
+        for v, cost in states.items():
+            dense = [0] * d
+            for i in range(0, len(v), 2):
+                dense[v[i]] = v[i + 1]
+            keys.append((cost, t, dense, v))
+        states.clear()
+    keys.sort()
+    for cost, t, _, v in keys[:k]:
+        levels[t][v] = cost
+
+
 def _fast_paths_exist(model: WeightModel, seeds: list[int], d: int, p: int, n_steps: int,
                       x: float, node_cap: int) -> list[tuple[bool, bool]]:
     """Whether an n-step path with total weight <= x exists, per seed.
 
     The first n-1 steps move inside the subspace of axes 1..p; the last
     step is the forward edge. Returns (found, capped) for each seed: those
-    of a best-first search over the states (t, v) that prunes partial
-    costs above x and gives up, capped, once it has settled more than
-    ``node_cap`` states. When the cap bites, ``found`` is False.
+    of a best-first search over the states (t, v), keyed (cost, t, dense
+    v), that prunes partial costs above x and gives up, capped, once it
+    has settled more than ``node_cap`` states. When the cap bites,
+    ``found`` is False.
 
     The seeds run in blocks of ``_PROBE_BLOCK``, and each block is swept
-    level by level: level t maps each vertex v to the least cost of a
-    t-step path to it whose partial costs are all at most x, every block
-    member's at once. A level's moves (2p subspace edges; at t = n-1, the
-    forward edge) are hashed together in ``edge_units`` passes of at most
-    ``_PASS_KEYS`` keys, and only units at or below
-    ``model.quantile_cut(x)`` go through the scalar ``quantile``: any
-    other edge weighs more than x and would be pruned. Level t+1 keeps
-    each reached vertex's least ``cost + w`` among those at most x, and
-    the seed's path exists iff the level past the forward edge is not
-    empty.
+    level by level (``_next_level``): level t maps each vertex v to the
+    least cost of a t-step path to it whose partial costs are all at most
+    x, every block member's at once. The levels run the search's own tests
+    (``nc <= x`` and ``nc < best``) on the same float sums, added in path
+    order; weights are >= 0 and float addition is monotone, so both find
+    each state's least cost.
 
-    That is the best-first answer whenever the seed's levels 0..n-1 hold
-    at most ``node_cap`` states in all. The levels run the search's own
-    tests (``nc <= x`` and ``nc < best``) on the same float sums, added in
-    path order; weights are >= 0 and float addition is monotone, so both
-    find each state's least cost, and the search settles only states of
-    the levels. It therefore cannot pass the cap, and it finds a path iff
-    some terminal state v has ``level_cost[v] + forward_weight(v) <= x``.
-    A seed whose levels outgrow the cap leaves the sweep there, and only
-    for it does the best-first search run, weighing each state it settles
-    as it settles it, so its work stays bounded by the cap.
+    After each subspace level, a seed that has seen more than ``node_cap``
+    states keeps only the states with its ``node_cap`` smallest keys, and
+    it counts as capped unless one of its kept terminal states (t = n-1)
+    has a forward edge within x. That is the search's answer exactly.
+    Each key the search pushes is larger than the key it popped, so it
+    settles states in key order: it finds a path iff such a terminal state
+    is among the ``node_cap`` smallest keys, and is capped iff there are
+    more states and none is. A dropped state, and every state it leads to,
+    has ``node_cap`` kept keys below it, so none of them is among those;
+    a kept state's least-cost path runs through states with smaller keys,
+    all kept, so its cost is exact. A seed within the cap keeps every
+    state, and its path exists iff the level past the forward edge is not
+    empty.
     """
     cut = model.quantile_cut(x)
     star = [(axis, delta) for axis in range(1, p + 1) for delta in (1, -1)]
-    forward = [(0, 1)]
 
-    def search(seed: int) -> tuple[bool, bool]:
-        start = (0,) * d
-        best: dict[tuple[int, Point], float] = {(0, start): 0.0}
-        heap: list[tuple[float, int, Point]] = [(0.0, 0, start)]
-        settled: set[tuple[int, Point]] = set()
-        while heap:
-            cost, t, v = heappop(heap)
-            if (t, v) in settled:
-                continue
-            settled.add((t, v))
-            if len(settled) > node_cap:
-                return False, True
-            terminal = t == n_steps - 1
-            cheap = next(_cheap_moves(model, d, [seed], [_sparse(v)],
-                                      forward if terminal else star, cut))
-            for m, w in zip(*cheap):
-                nc = cost + w
-                if nc <= x:
-                    if terminal:
-                        return True, False
-                    q = step(v, *star[m])
-                    key = (t + 1, q)
-                    if nc < best.get(key, inf):
-                        best[key] = nc
-                        heappush(heap, (nc, t + 1, q))
-        return False, False
+    def block_paths(block: list[int]) -> list[tuple[bool, bool]]:
+        levels = [[{(): 0.0}] for _ in block]  # per seed, its levels 0..t
+        capped = [False] * len(block)
+        for _ in range(n_steps - 1):
+            reached = _next_level(model, d, block, [past[-1] for past in levels],
+                                  star, cut, x)
+            for r, states in enumerate(reached):
+                levels[r].append(states)
+                if sum(map(len, levels[r])) > node_cap:
+                    capped[r] = True
+                    _keep_cheapest(levels[r], node_cap, d)
+        terminal = [past[-1] for past in levels]
+        del levels  # no rank step is left: free the earlier levels
+        ends = _next_level(model, d, block, terminal, [(0, 1)], cut, x)
+        return [(bool(e), over and not e) for e, over in zip(ends, capped)]
 
-    out: list[tuple[bool, bool]] = []
-    for i in range(0, len(seeds), _PROBE_BLOCK):
-        block = seeds[i:i + _PROBE_BLOCK]
-        # v -> least cost, per member; None once its levels outgrow the cap
-        level: list[dict[Sparse, float] | None] = [{(): 0.0} for _ in block]
-        room = [node_cap] * len(block)
-        for t in range(n_steps):
-            moves = forward if t == n_steps - 1 else star
-            todo_r: list[int] = []
-            todo_v: list[Sparse] = []
-            for r, states in enumerate(level):
-                if states is None:
-                    continue
-                if len(states) > room[r]:
-                    level[r] = None
-                    continue
-                room[r] -= len(states)
-                todo_v += states
-                todo_r += [r] * len(states)
-            nxt: list[dict[Sparse, float] | None] = [
-                None if states is None else {} for states in level]
-            got = _cheap_moves(model, d, [block[r] for r in todo_r], todo_v, moves, cut)
-            for r, v, (ms, ws) in zip(todo_r, todo_v, got):
-                cost, reach = level[r][v], nxt[r]
-                for m, w in zip(ms, ws):
-                    nc = cost + w
-                    if nc <= x:
-                        q = _shifted(v, *moves[m])
-                        if nc < reach.get(q, inf):
-                            reach[q] = nc
-            level = nxt
-        out += [search(seed) if ends is None else (bool(ends), False)
-                for seed, ends in zip(block, level)]
-    return out
+    return [path for i in range(0, len(seeds), _PROBE_BLOCK)
+            for path in block_paths(seeds[i:i + _PROBE_BLOCK])]
 
 
 def search_cross_probe(d: int, model: WeightModel, replicates: int, *,
@@ -468,7 +460,13 @@ def search_cross_probe(d: int, model: WeightModel, replicates: int, *,
     Parameter choices follow the classical construction: subspace dimension
     p = floor(d/2), path length n = floor(0.75 log d), path budget
     x = 9 log(d)/(4ad), first-step budget y = 32 log(d)/(ad). A replicate
-    whose search settles more than ``node_cap`` nodes counts as capped.
+    counts as capped when a best-first search over its path states (t, v),
+    keyed (cost, t, dense v), would settle more than ``node_cap`` of them
+    without finding a path. The probe gets that answer from a level sweep
+    that keeps each replicate's ``node_cap`` cheapest states: the search
+    settles states in key order, a dropped state and every state it leads
+    to rank past the cap, and each kept state's cost is exact
+    (``_fast_paths_exist``).
     """
     if replicates < 1:
         raise DomainError(f"replicates must be >= 1, got {replicates}")

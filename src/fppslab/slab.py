@@ -30,7 +30,7 @@ from .errors import BudgetExceeded, DomainError
 from .lattice import EdgeId, Point, check_dimension, step
 
 # the default of every work cap: vertices settled by these searches, vertices
-# infected by the cluster race, nodes settled by the probe
+# infected by the cluster race, path states kept per replicate by the probe
 DEFAULT_SETTLED_CAP = 1_000_000
 
 _TARGET, _INNER = 0, 1  # heap kinds; targets win ties

@@ -4,12 +4,13 @@ These deliberately share no code with the package internals they verify:
 the slab and hyperplane oracles are a dense Bellman-Ford relaxation on an
 explicit truncated graph, the quantile oracle reconstructs the forward CDF
 from tabulated inverse pairs on a dense grid and scans for the infimum, the
-cheap-detour oracles are the probe's search and its levels with one
-scalar ``edge_weight`` call per edge, the draw-source oracle turns each
-whole block of variates into a list at once, and the edge-weight oracle
-folds the whole edge key from the seed on every call, with no cached
-state. ``unmix64`` inverts the hash's finalizer, so a test can build an
-edge whose key hashes to chosen bits.
+cheap-detour oracles are a best-first search over the probe's path states
+(whose answer the probe's capped level sweep must give) and a layered
+count of those states, with one scalar ``edge_weight`` call per edge, the
+draw-source oracle turns each whole block of variates into a list at once,
+and the edge-weight oracle folds the whole edge key from the seed on every
+call, with no cached state. ``unmix64`` inverts the hash's finalizer, so a
+test can build an edge whose key hashes to chosen bits.
 """
 
 from __future__ import annotations

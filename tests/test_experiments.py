@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from heapq import heappop
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -247,38 +247,57 @@ def test_fast_path_search_across_blocks(family, d, budget):
         assert_batched_search_matches_scalar(model, seeds, d, n_steps, x, node_cap)
 
 
+# half of all edges weigh exactly 0
+ZERO_ATOM_TABLE = ((0.0, 0.0), (0.5, 0.0), (0.9, 1.0))
+
+
+@pytest.mark.parametrize("d", (16, 64))
+def test_capped_search_keeps_the_tie_order_and_bounds_its_work(monkeypatch, d):
+    # With x = 0 every state that counts costs exactly 0, so only the (t, v)
+    # order decides which of them a capped seed keeps; at d = 16 a cap of 12
+    # cuts into the terminal level, where that choice decides the answer.
+    hashed = Counter()
+
+    def counted_units(seeds, d, verts, moves):
+        for s in seeds:
+            hashed[s] += len(moves)
+        return edge_units(seeds, d, verts, moves)
+
+    monkeypatch.setattr(experiments, "edge_units", counted_units)
+    model = WeightModel(family="table", points=ZERO_ATOM_TABLE, seed=5)
+    n_steps, p, x = 3, d // 2, 0.0
+    seeds = replicate_seeds(model, d, _PROBE_BLOCK + 1)
+    most = max(cheap_state_count(model.with_seed(s), d, p, n_steps, x) for s in seeds)
+    for node_cap in (1, 12, 40, most + 1):
+        hashed.clear()
+        assert_batched_search_matches_scalar(model, seeds, d, n_steps, x, node_cap)
+        assert max(hashed.values()) <= n_steps * (node_cap + 1) * 2 * p
+
+
 def test_search_cross_probe_work_count(monkeypatch):
     # One edge_units pass per level per block of _PROBE_BLOCK = 16, plus the
     # orthogonal steps' pass: 4 blocks x 3 levels + 1 = 13 for 50 replicates
-    # at d = 64 (40 with blocks of 4). The best-first search runs only for
-    # the seeds whose levels hold more states than the node cap.
-    units, pops = [], []
+    # at d = 64 (40 with blocks of 4), also when the node cap cuts some off.
+    units = []
 
     def counted_units(*args):
         units.append(1)
         return edge_units(*args)
 
-    def counted_pop(heap):
-        item = heappop(heap)
-        pops.append(item[1])
-        return item
-
     monkeypatch.setattr(experiments, "edge_units", counted_units)
-    monkeypatch.setattr(experiments, "heappop", counted_pop)
     model = WeightModel(family="exp", a=1.0, seed=9)
     d, reps = 64, 50
     search_cross_probe(d, model, reps)
     assert len(units) <= 13
-    assert pops == []
 
+    units.clear()
     node_cap = 40
     rep = search_cross_probe(d, model, reps, node_cap=node_cap)
+    assert len(units) <= 13
     x = 9.0 * math.log(d) / (4.0 * d)
     over = [cheap_state_count(model.with_seed(s), d, d // 2, rep.path_steps, x) > node_cap
             for s in replicate_seeds(model, d, reps)]
     assert 0 < rep.capped_replicates <= sum(over) < reps
-    # every search pops its start state, the only one with t = 0, once
-    assert pops.count(0) == sum(over)
 
 
 def test_search_cross_probe_makes_no_scalar_oracle_call(monkeypatch):

@@ -40,3 +40,16 @@ def test_benchmark_imports_from_the_package_resolve():
     assert imports
     missing = [imp for imp in imports if not _resolves(imp[1], imp[2])]
     assert not missing
+
+
+def test_only_the_exact_kernel_imports_heapq():
+    # slab._lazy_search is the one hand-written Dijkstra loop in the package
+    src = Path(fppslab.__file__).resolve().parent
+    importers = {
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "heapq" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "heapq"
+    }
+    assert importers == {"slab.py"}
