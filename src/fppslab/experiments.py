@@ -23,12 +23,7 @@ import numpy as np
 from .eden import race_values
 from .errors import DomainError, SamplerMismatch
 from .lattice import check_dimension
-from .slab import (
-    DEFAULT_SETTLED_CAP,
-    greedy_concatenation,
-    point_to_hyperplane_time,
-    slab_crossing_time,
-)
+from .slab import DEFAULT_SETTLED_CAP, _concatenations, _lazy_search
 from .weights import WeightModel, derive_seed, edge_units
 
 SAMPLERS = ("eden", "slab")
@@ -97,10 +92,18 @@ def sample_crossing_values(config: ExperimentConfig, sampler: str, d: int) -> np
             )
         return race_values(d, model.a, seeds, cluster_cap=config.budget_cap)
 
-    origin = (0,) * d
-    return np.array([slab_crossing_time(model.with_seed(seed), origin,
-                                        settled_cap=config.budget_cap).value
-                     for seed in seeds], dtype=np.float64)
+    return _search_values(model, seeds, d, 1, config.budget_cap)
+
+
+def _search_values(model: WeightModel, seeds: list[int], d: int, span: int,
+                   settled_cap: int) -> np.ndarray:
+    """The exact passage time from the origin to the plane x_1 = span
+    through 0 <= x_1 <= span, on ``model.with_seed(seed)`` for each seed."""
+    values = np.empty(len(seeds))
+    for r, value, _, _ in _lazy_search(model, [(0,) * d] * len(seeds), span,
+                                       settled_cap, seeds):
+        values[r] = value
+    return values
 
 
 def _scale(d: int, a: float) -> float:
@@ -249,19 +252,12 @@ def subadditivity_check(config: ExperimentConfig, n: int) -> dict[int, Subadditi
         raise DomainError(f"need n >= 1 hyperplanes, got {n}")
     out: dict[int, SubadditivityReport] = {}
     for d in config.d_grid:
-
-        def one(seed: int) -> tuple[float, list[float]]:
-            seeded = config.model.with_seed(seed)
-            crossings = greedy_concatenation(seeded, d, n,
-                                             settled_cap=config.budget_cap)
-            direct = point_to_hyperplane_time(seeded, d, n,
-                                              settled_cap=config.budget_cap)
-            return direct, [s.value for s in crossings]
-
-        rows = [one(seed) for seed in replicate_seeds(config.model, d, config.replicates)]
-        direct = np.array([r[0] for r in rows])
-        sums = np.array([sum(r[1]) for r in rows])
-        singles = np.array([v for r in rows for v in r[1]])
+        seeds = replicate_seeds(config.model, d, config.replicates)
+        chains = [[s.value for s in chain] for chain in
+                  _concatenations(config.model, d, n, config.budget_cap, seeds)]
+        direct = _search_values(config.model, seeds, d, n, config.budget_cap)
+        sums = np.array([sum(values) for values in chains])
+        singles = np.array([v for values in chains for v in values])
         violations = int(np.count_nonzero(direct > sums + 1e-9))
         lhs = direct / n
         lhs_se = _standard_error(lhs)

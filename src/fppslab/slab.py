@@ -13,27 +13,72 @@ expanded. The search stops the moment the cheapest heap entry is a target,
 i.e. when the best tentative target value is <= every other tentative
 value; that value is then exact. Ties (measure zero under continuous
 weights, possible under table atoms) break deterministically: targets
-before other entries, then lexicographic vertex order.
+before other entries, then lexicographic vertex order. No entry is pushed
+that could not pop before the best target found so far: an inner entry at
+or above its value, or a target entry above it.
 
 The slab crossing from a start on plane k = start[0] is the search over
 k <= x_1 <= k + 1, so its target is x_1 = k + 1; the point-to-hyperplane
 time is the search over 0 <= x_1 <= n.
+
+The kernel runs many independent searches in lockstep, as the Monte Carlo
+harness needs: each has its own start and, given seeds, its own
+realization ``model.with_seed(seed)``. At each step every live search
+pops and settles its next vertex, and then the stars of all the vertices
+settled in that step are weighed at once. The weights come from one of
+two sources:
+
+* ``weights.edge_units``, for a WeightModel with seeds and enough live
+  searches: one vectorized hash pass over all those stars, each edge under
+  its own search's seed, then the scalar ``quantile`` of each unit needed;
+* ``edge_weight``, edge by edge, for a single search, a step with few
+  live searches, or any other model (``CoupledWeights``, test doubles),
+  since a numpy pass over a few stars costs more than the scalar oracle.
+
+Both give each edge the weight ``edge_weight`` gives it, bit for bit (the
+``weights`` module docstring says why). The searches share nothing else:
+each has its own heap, distances, best target and settled count, and the
+step order within one search is the serial one. So every value, exit
+vertex and settled count equals that of the search run alone.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import chain, islice
 from math import inf
 
 from .errors import BudgetExceeded, DomainError
-from .lattice import EdgeId, Point, check_dimension, step
+from .lattice import EdgeId, Point, check_dimension
+from .weights import WeightModel, edge_units
 
 # the default of every work cap: vertices settled by these searches, vertices
 # infected by the cluster race, path states kept per replicate by the probe
 DEFAULT_SETTLED_CAP = 1_000_000
 
 _TARGET, _INNER = 0, 1  # heap kinds; targets win ties
+
+# Searches live at once in _lazy_search: slab crossings, and searches over
+# more than one plane (span > 1). One that finishes hands its place to the
+# next. In process (exp(1), 1000 replicates), ms per crossing at d = 3 / 5
+# read 0.057 / 0.162 with 16 live, 0.042 / 0.121 with 32, 0.036 / 0.105
+# with 64 and 0.032 / 0.099 with 128, with peak RSS 0.1 MB higher at 128. A
+# search to the plane n = 3 at d = 4 holds 14 times the vertices of a
+# crossing (142 against 10 on average), and there the number live sets
+# the peak: over three rounds of the benchmark's slab jobs in one
+# interpreter, peak RSS was 1.2-1.3 MB above the serial kernel's with 8
+# live, 1.4 with 16, 1.6 with 32 and 1.9 with 64. The 80 searches of one
+# such job took 129 ms with 8 live, 99 with 16 and 81 with 64, against
+# 145 ms one at a time.
+_SEARCH_BLOCK = 64
+_WIDE_BLOCK = 8
+# The fewest live searches whose stars one edge_units pass weighs; with
+# fewer, each edge comes from edge_weight. At d = 3-5 a pass over 1-6
+# stars cost 105-160 us, and the same stars through edge_weight 26-41 us
+# each: the pass broke even at 4-6 stars.
+_BATCH_MIN = 6
 
 
 @dataclass(frozen=True)
@@ -45,43 +90,102 @@ class PassageSample:
     settled_count: int
 
 
-def _lazy_search(model, start: Point, lo: int, hi: int,
-                 settled_cap: int) -> tuple[float, Point, int]:
-    """Dijkstra from ``start`` over the vertices with lo <= x_1 <= hi.
+def _lazy_search(model, starts: list[Point], span: int, settled_cap: int,
+                 seeds: list[int] | None = None) -> Iterator[tuple[int, float, Point, int]]:
+    """Dijkstra from each of ``starts``, all searches in lockstep.
 
-    The targets are the vertices on the plane x_1 = hi. Returns (value,
-    target vertex, settled count) for the first target to pop. A target
+    Search r runs on ``model``, or on ``model.with_seed(seeds[r])`` if
+    ``seeds`` is given, over the vertices with lo <= x_1 <= hi, where lo =
+    starts[r][0] and hi = lo + span; its targets are the vertices on the
+    plane x_1 = hi. Yields (r, value, target vertex, settled count) for
+    the first target of search r to pop, as the searches finish. A target
     enters the heap as a terminal entry that is never expanded; on equal
     values it pops before any other entry, then in lexicographic vertex
-    order. Settling more than ``settled_cap`` vertices raises
-    BudgetExceeded.
+    order. Settling more than ``settled_cap`` vertices in one search
+    raises BudgetExceeded.
+
+    Up to ``_SEARCH_BLOCK`` searches (``_WIDE_BLOCK`` if span > 1) are
+    live at once, and one that finishes hands its place to the next; a
+    finished search's dict and heap go with it. At each step every live
+    search pops its next unsettled vertex, and the step then weighs all
+    their stars: through one ``edge_units`` pass, each under its own seed,
+    when ``seeds`` are given to a WeightModel and at least ``_BATCH_MIN``
+    searches are live, and through ``edge_weight`` otherwise. No entry is
+    pushed that could not pop before the best target found so far
+    (``best``): an inner entry at or above it, as targets win ties, or a
+    target entry above it. A settled vertex keeps None as its distance.
     """
-    moves = [(axis, delta) for axis in range(len(start)) for delta in (1, -1)]
-    edge_weight = model.edge_weight
-    dist: dict[Point, float] = {start: 0.0}
-    settled: set[Point] = set()
-    heap: list[tuple[float, int, Point]] = [(0.0, _INNER, start)]
-    while heap:
-        val, kind, v = heapq.heappop(heap)
-        if kind == _TARGET:
-            return val, v, len(settled)
-        if v in settled:
-            continue
-        settled.add(v)
-        if len(settled) > settled_cap:
-            raise BudgetExceeded(f"search exceeded settled cap {settled_cap}")
-        for axis, delta in moves:
-            if axis == 0 and not lo <= v[0] + delta <= hi:
-                continue
-            q = step(v, axis, delta)
-            if q in settled:
-                continue
-            # the edge's base is its endpoint with the smaller x_axis
-            nd = val + edge_weight(EdgeId(v if delta > 0 else q, axis))
-            if nd < dist.get(q, inf):
+    d = len(starts[0])
+    moves = [(axis, delta) for axis in range(d) for delta in (1, -1)]
+    if span == 1:
+        moves.remove((0, -1))  # every expanded vertex lies on x_1 = lo
+    hashed = seeds is not None and type(model) is WeightModel
+    quantile = model.quantile if hashed else None
+    axes = range(d)
+    block = _SEARCH_BLOCK if span == 1 else _WIDE_BLOCK
+    waiting = iter(range(len(starts)))
+    # per live search: [r, hi, dist, heap, best, its model, settled count]
+    live: list[list] = []
+    while True:
+        for r in islice(waiting, block - len(live)):
+            start = starts[r]
+            live.append([r, start[0] + span, {start: 0.0}, [(0.0, _INNER, start)], inf,
+                         model if seeds is None else model.with_seed(seeds[r]), 0])
+        if not live:
+            return
+        # every live search settles its next vertex, or pops its target and
+        # drops out, and with it its dict and heap
+        popped = []
+        for search in live:
+            dist, heap = search[2], search[3]
+            while heap:
+                val, kind, v = heappop(heap)
+                if kind == _TARGET:
+                    yield search[0], val, v, search[6]
+                    break
+                if dist[v] is not None:
+                    dist[v] = None
+                    search[6] += 1
+                    if search[6] > settled_cap:
+                        raise BudgetExceeded(f"search exceeded settled cap {settled_cap}")
+                    popped.append((search, val, v))
+                    break
+            else:
+                raise BudgetExceeded("search exhausted without reaching a target")
+        live = [search for search, _, _ in popped]
+        units = None
+        if hashed and len(live) >= _BATCH_MIN:
+            # dense coordinates, zeros included, which edge_units allows
+            units = edge_units([search[5].seed for search in live], d,
+                               [tuple(chain.from_iterable(zip(axes, v)))
+                                for _, _, v in popped], moves).tolist()
+        for i, (search, val, v) in enumerate(popped):
+            _, hi, dist, heap, best, source, _ = search
+            lo = hi - span
+            row = units[i] if units else None
+            for m, (axis, delta) in enumerate(moves):
+                if axis == 0 and not lo <= v[0] + delta <= hi:
+                    continue
+                q = v[:axis] + (v[axis] + delta,) + v[axis + 1:]
+                known = dist.get(q, inf)
+                if known is None:
+                    continue
+                # the edge's base is its endpoint with the smaller x_axis
+                nd = val + (quantile(row[m]) if row else
+                            source.edge_weight(EdgeId(v if delta > 0 else q, axis)))
+                if nd >= known:
+                    continue
+                if q[0] == hi:
+                    if nd > best:
+                        continue
+                    best = nd
+                    heappush(heap, (nd, _TARGET, q))
+                elif nd < best:
+                    heappush(heap, (nd, _INNER, q))
+                else:
+                    continue
                 dist[q] = nd
-                heapq.heappush(heap, (nd, _TARGET if q[0] == hi else _INNER, q))
-    raise BudgetExceeded("search exhausted without reaching a target")
+            search[4] = best
 
 
 def slab_crossing_time(model, start: Point, *,
@@ -95,8 +199,8 @@ def slab_crossing_time(model, start: Point, *,
     a safety valve against weight models with mass far from zero.
     """
     check_dimension(len(start))
-    k = start[0]
-    return PassageSample(*_lazy_search(model, start, k, k + 1, settled_cap))
+    _, *found = next(_lazy_search(model, [start], 1, settled_cap))
+    return PassageSample(*found)
 
 
 def point_to_hyperplane_time(model, d: int, n: int, *,
@@ -110,7 +214,21 @@ def point_to_hyperplane_time(model, d: int, n: int, *,
     if n < 1:
         raise DomainError(f"hyperplane index must be >= 1, got {n}")
     check_dimension(d)
-    return _lazy_search(model, (0,) * d, 0, n, settled_cap)[0]
+    return next(_lazy_search(model, [(0,) * d], n, settled_cap))[1]
+
+
+def _concatenations(model, d: int, n: int, settled_cap: int,
+                    seeds: list[int] | None = None) -> list[list[PassageSample]]:
+    """``greedy_concatenation`` on ``model``, or on ``model.with_seed(seed)``
+    for each of ``seeds``; crossing k of every chain is one
+    ``_lazy_search`` call."""
+    chains: list[list[PassageSample]] = [[] for _ in range(1 if seeds is None else len(seeds))]
+    starts: list[Point] = [(0,) * d] * len(chains)
+    for _ in range(n):
+        for r, *found in _lazy_search(model, starts, 1, settled_cap, seeds):
+            chains[r].append(PassageSample(*found))
+        starts = [samples[-1].exit_vertex for samples in chains]
+    return chains
 
 
 def greedy_concatenation(model, d: int, n: int, *,
@@ -124,10 +242,5 @@ def greedy_concatenation(model, d: int, n: int, *,
     """
     if n < 1:
         raise DomainError(f"need at least one crossing, got {n}")
-    out: list[PassageSample] = []
-    v: Point = (0,) * d
-    for _ in range(n):
-        sample = slab_crossing_time(model, v, settled_cap=settled_cap)
-        out.append(sample)
-        v = sample.exit_vertex
-    return out
+    check_dimension(d)
+    return _concatenations(model, d, n, settled_cap)[0]

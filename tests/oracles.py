@@ -2,14 +2,15 @@
 
 These deliberately share no code with the package internals they verify:
 the slab and hyperplane oracles are a dense Bellman-Ford relaxation on an
-explicit truncated graph, the quantile oracle reconstructs the forward CDF
-from tabulated inverse pairs on a dense grid and scans for the infimum, the
-cheap-detour oracles are a best-first search over the probe's path states
-(whose answer the probe's capped level sweep must give) and a layered
-count of those states, with one scalar ``edge_weight`` call per edge, the
-draw-source oracle turns each whole block of variates into a list at once,
-and the edge-weight oracle folds the whole edge key from the seed on every
-call, with no cached state. ``unmix64`` inverts the hash's finalizer, so a
+explicit truncated graph, the search oracle is one textbook lazy Dijkstra
+with no pruning and no lockstep, the quantile oracle reconstructs the
+forward CDF from tabulated inverse pairs on a dense grid and scans for the
+infimum, the cheap-detour oracles are a best-first search over the probe's
+path states (whose answer the probe's capped level sweep must give) and a
+layered count of those states, with one scalar ``edge_weight`` call per
+edge, the draw-source oracle turns each whole block of variates into a
+list at once, and the edge-weight oracle folds the whole edge key from the
+seed on every call, with no cached state. ``unmix64`` inverts the hash's finalizer, so a
 test can build an edge whose key hashes to chosen bits.
 """
 
@@ -58,6 +59,36 @@ def slab_value_bruteforce(model, d: int, radius: int) -> float:
     """Min-cost crossing with intermediate vertices in the in-plane box
     [-radius, radius]^(d-1): the passage to x_1 = 1 above."""
     return hyperplane_value_bruteforce(model, d, 1, radius)
+
+
+def search_reference(model, start, span: int) -> tuple[float, tuple, int]:
+    """(value, exit vertex, settled count) of the exact search from
+    ``start`` to the plane x_1 = start[0] + span through start[0] <= x_1 <=
+    start[0] + span, by a textbook lazy Dijkstra: one search, a settled
+    set, every improving entry pushed, targets popped before other entries
+    of equal value and then by vertex order, and every weight folded from
+    the whole edge key (``edge_weight_reference``)."""
+    lo, hi = start[0], start[0] + span
+    dist = {start: 0.0}
+    settled: set = set()
+    heap = [(0.0, 1, start)]
+    while heap:
+        val, kind, v = heappop(heap)
+        if kind == 0:
+            return val, v, len(settled)
+        if v in settled:
+            continue
+        settled.add(v)
+        for axis in range(len(start)):
+            for delta in (1, -1):
+                q = step(v, axis, delta)
+                if not lo <= q[0] <= hi or q in settled:
+                    continue
+                nd = val + edge_weight_reference(model, EdgeId(min(v, q), axis))
+                if nd < dist.get(q, inf):
+                    dist[q] = nd
+                    heappush(heap, (nd, 0 if q[0] == hi else 1, q))
+    raise ValueError("the search ran out of vertices")
 
 
 def unmix64(z: int) -> int:

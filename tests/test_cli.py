@@ -194,6 +194,19 @@ def test_budget_cap_below_one_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample-slab", "--d", "4", "--reps", "20", "--budget-cap", "2"],
+    ["subadd", "--d", "3", "--n", "2", "--reps", "5", "--budget-cap", "2"],
+], ids=["sample-slab", "subadd"])
+def test_budget_cap_exceeded_exits_1_writes_nothing(tmp_path, capsys, argv):
+    # the exact searches raise the typed error, and no result or .tmp file is left
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "BudgetExceeded", "message": "search exceeded settled cap 2"}
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["bounds", "search-cross", "sample-eden"])
 @pytest.mark.parametrize("dims", ["empty", "repeated"])
 def test_empty_or_repeated_dimension_exits_2_writes_nothing(tmp_path, capsys, command, dims):

@@ -43,7 +43,8 @@ def test_benchmark_imports_from_the_package_resolve():
 
 
 def test_only_the_exact_kernel_imports_heapq():
-    # slab._lazy_search is the one hand-written Dijkstra loop in the package
+    # slab._lazy_search is the one hand-written Dijkstra loop in the package;
+    # it runs a block of searches in lockstep, one heap per search
     src = Path(fppslab.__file__).resolve().parent
     importers = {
         path.relative_to(src).as_posix()

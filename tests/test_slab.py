@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 from fppslab.errors import BudgetExceeded
 from fppslab.lattice import EdgeId
 from fppslab.slab import (
+    _BATCH_MIN,
+    _SEARCH_BLOCK,
+    _WIDE_BLOCK,
+    DEFAULT_SETTLED_CAP,
+    _concatenations,
+    _lazy_search,
     greedy_concatenation,
     point_to_hyperplane_time,
     slab_crossing_time,
 )
-from fppslab.weights import CoupledWeights, CouplingMap, WeightModel
+from fppslab.weights import CoupledWeights, CouplingMap, WeightModel, derive_seed
 
-from oracles import hyperplane_value_bruteforce, slab_value_bruteforce
+from oracles import hyperplane_value_bruteforce, search_reference, slab_value_bruteforce
 
 
 class MapWeights:
@@ -36,6 +42,15 @@ def test_single_cheap_exit_dominates():
     assert s.value == 0.5
     assert s.exit_vertex == (1, 0, 0)
     assert s.settled_count == 1
+
+
+def test_equal_targets_break_by_vertex_order():
+    # the exit (1, 0) is pushed first at 1.0; the exit (1, -1) ties it later
+    # through (0, -1) and must still be pushed, since it pops first
+    m = MapWeights(10.0, {EdgeId((0, 0), 0): 1.0, EdgeId((0, 0), 1): 0.5,
+                          EdgeId((0, -1), 1): 0.5, EdgeId((0, -1), 0): 0.5})
+    s = slab_crossing_time(m, (0, 0))
+    assert (s.value, s.exit_vertex, s.settled_count) == (1.0, (1, -1), 3)
 
 
 def test_value_never_exceeds_direct_exit_edge():
@@ -249,3 +264,99 @@ def test_golden_values_fix_the_kernel():
         WeightModel(family="exp", a=1.0, seed=7), 4, 3).hex() == "0x1.4325a565505c8p+0"
     assert point_to_hyperplane_time(
         WeightModel(family="exp", a=1.0, seed=2**63), 4, 3).hex() == "0x1.bde9eb9f84499p-1"
+
+
+# -- the lockstep kernel -----------------------------------------------------
+
+FAMILY_POINTS = {"exp": None, "uniform": None, "table": ATOM_TABLE}
+
+SMALL = st.integers(-6, 6)
+# coordinates near +-2^63 and +-2^64 as well, which edge_units reduces mod
+# 2^64 through its OverflowError branch
+WIDE = st.one_of(SMALL, st.integers(2**63 - 2, 2**63 + 2),
+                 st.integers(-2**63 - 2, -2**63 + 2),
+                 st.sampled_from((2**64, -2**64, 2**64 + 1)))
+
+
+def _family_model(family: str, seed: int) -> WeightModel:
+    return WeightModel(family=family, a=1.0, seed=seed, points=FAMILY_POINTS[family])
+
+
+def _block(model, starts, span, seeds, settled_cap=DEFAULT_SETTLED_CAP):
+    """The lockstep kernel's (value.hex(), exit vertex, settled count), by search."""
+    out = [None] * len(starts)
+    for r, value, exit_vertex, settled in _lazy_search(model, starts, span, settled_cap,
+                                                       seeds):
+        out[r] = (value.hex(), exit_vertex, settled)
+    return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), family=st.sampled_from(sorted(FAMILY_POINTS)),
+       d=st.integers(2, 6), span=st.integers(1, 3),
+       n=st.integers(_BATCH_MIN, _WIDE_BLOCK + 4), root=st.integers(0, 2**64 - 1))
+def test_block_kernel_matches_single_searches(data, family, d, span, n, root):
+    # n >= _BATCH_MIN, so the block's stars come from edge_units, and n can
+    # pass _WIDE_BLOCK, so wider searches also hand their places on
+    coordinate = data.draw(st.sampled_from((SMALL, WIDE)))
+    starts = data.draw(st.lists(st.tuples(*[coordinate] * d), min_size=n, max_size=n))
+    model = _family_model(family, root)
+    seeds = [derive_seed(root, r) for r in range(n)]
+    serial = []
+    for seed, start in zip(seeds, starts):
+        value, exit_vertex, settled = search_reference(model.with_seed(seed), start, span)
+        serial.append((value.hex(), exit_vertex, settled))
+    assert _block(model, starts, span, seeds) == serial
+
+
+def test_block_kernel_refills_past_one_block():
+    # more crossings than _SEARCH_BLOCK, from the origin and from shifted starts
+    for family in sorted(FAMILY_POINTS):
+        model = _family_model(family, 77)
+        n = _SEARCH_BLOCK + 40
+        seeds = [derive_seed(77, r) for r in range(n)]
+        starts = [(r % 3 - 1, r % 5 - 2, -(r % 7)) for r in range(n)]
+        serial = [slab_crossing_time(model.with_seed(seed), start)
+                  for seed, start in zip(seeds, starts)]
+        assert _block(model, starts, 1, seeds) == [
+            (s.value.hex(), s.exit_vertex, s.settled_count) for s in serial]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_POINTS))
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 1), (3, 2), (4, 3), (5, 2)])
+def test_block_chains_match_greedy_concatenation(family, d, n):
+    model = _family_model(family, 1000 + d)
+    seeds = [derive_seed(1000 + d, r) for r in range(_BATCH_MIN + 5)]
+    chains = _concatenations(model, d, n, DEFAULT_SETTLED_CAP, seeds)
+    assert chains == [greedy_concatenation(model.with_seed(seed), d, n) for seed in seeds]
+    for chain in chains:  # round k starts from the exit of round k - 1
+        assert [s.exit_vertex[0] for s in chain] == list(range(1, n + 1))
+
+
+def _outcome(run):
+    """What ``run()`` returned, or the type and message of what it raised."""
+    try:
+        return run()
+    except BudgetExceeded as exc:
+        return ("BudgetExceeded", str(exc))
+
+
+def test_block_raises_budget_exceeded_exactly_when_serial_does():
+    outcomes = set()
+    for cap in range(1, 6):
+        for d, span in [(2, 1), (3, 1), (4, 1), (3, 2)]:
+            for root in range(25):
+                model = _family_model(("exp", "uniform", "table")[root % 3], root)
+                seeds = [derive_seed(root, r) for r in range(_BATCH_MIN + root % 4)]
+                starts = [(0,) * d] * len(seeds)
+
+                def serial():
+                    return [_block(model.with_seed(seed), [start], span, None, cap)[0]
+                            for seed, start in zip(seeds, starts)]
+
+                block = _outcome(lambda: _block(model, starts, span, seeds, cap))
+                assert block == _outcome(serial), (cap, d, span, root)
+                outcomes.add((cap, type(block)))
+    # every cap raises on some block, and caps from 2 on let some block finish
+    assert outcomes >= {(cap, tuple) for cap in range(1, 6)} | {
+        (cap, list) for cap in range(2, 6)}
