@@ -80,13 +80,14 @@ def _dir_deltas(d: int) -> tuple[list[int], np.ndarray]:
 class DrawSource:
     """Buffered uniform/exponential draws from one seeded generator.
 
-    Each stream is a generator that pulls ``BLOCK`` variates from the shared
-    numpy generator at the draw that first needs a new block, so the
-    interleaving of those pulls, and with it every variate, depends on
-    ``BLOCK``: its value 4096 is part of the determinism contract (with
-    1024, every one of 40 d = 50 samples changes). A block is turned into
-    Python floats ``_CHUNK`` at a time, which keeps the per-draw cost one
-    generator step without converting variates a short race never uses.
+    Each stream pulls ``BLOCK`` variates from the shared numpy generator at
+    the draw that first needs a new block, so the interleaving of those
+    pulls, and with it every variate, depends on ``BLOCK``: its value 4096
+    is part of the determinism contract (with 1024, every one of 40 d = 50
+    samples changes). A block is turned into Python floats ``_CHUNK`` at a
+    time, which avoids converting variates a short race never uses.
+    ``uniform`` and ``exponential`` are the ``__next__`` of an
+    ``itertools.chain`` over those lists, so a draw runs no Python frame.
     Every draw goes through ``_Cluster.pick``, in the reference race and
     in the lockstep race alike, so no presence filter can touch the stream.
     """
@@ -95,8 +96,9 @@ class DrawSource:
     _CHUNK = 256  # divides BLOCK, so blocks are pulled at the same draws
 
     def __init__(self, rng: np.random.Generator):
-        self._uni = self._stream(rng.random)
-        self._exp = self._stream(rng.standard_exponential)
+        self.uniform = itertools.chain.from_iterable(self._chunks(rng.random)).__next__
+        self.exponential = itertools.chain.from_iterable(
+            self._chunks(rng.standard_exponential)).__next__
 
     @classmethod
     def from_seed(cls, seed: int) -> "DrawSource":
@@ -105,17 +107,11 @@ class DrawSource:
     # a classmethod: a generator holding the instance would form a cycle, and
     # finished sources and their blocks would wait for the cyclic collector
     @classmethod
-    def _stream(cls, pull):
+    def _chunks(cls, pull):
         while True:
             block = pull(cls.BLOCK)
             for pos in range(0, cls.BLOCK, cls._CHUNK):
-                yield from block[pos:pos + cls._CHUNK].tolist()
-
-    def uniform(self) -> float:
-        return next(self._uni)
-
-    def exponential(self) -> float:
-        return next(self._exp)
+                yield block[pos:pos + cls._CHUNK].tolist()
 
 
 def _check_perimeter_bounds(d: int, i: int, S: int) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from math import inf
 
 import numpy as np
@@ -333,6 +334,17 @@ def _shifted(nz: Sparse, axis: int, delta: int) -> Sparse:
     return nz + (axis, delta)
 
 
+def _dense(verts: list[Sparse]) -> np.ndarray:
+    """``verts`` as the rows of an int64 coordinate matrix for ``edge_units``,
+    only as wide as their largest nonzero index + 1: the columns past it
+    would be all zero, and each would cost memory and a pass over it."""
+    flat = list(chain.from_iterable(verts))
+    index = flat[::2]
+    block = np.zeros((len(verts), max(index, default=-1) + 1), dtype=np.int64)
+    block[np.repeat(np.arange(len(verts)), [len(v) // 2 for v in verts]), index] = flat[1::2]
+    return block
+
+
 def _cheap_moves(model: WeightModel, d: int, seeds: list[int], verts: list[Sparse],
                  moves, cut: float):
     """For each (seed, vertex) pair in turn, the indices and weights of the
@@ -343,7 +355,7 @@ def _cheap_moves(model: WeightModel, d: int, seeds: list[int], verts: list[Spars
     quantile = model.quantile
     size = max(1, _PASS_KEYS // len(moves))
     for lo in range(0, len(verts), size):
-        units = edge_units(seeds[lo:lo + size], d, verts[lo:lo + size], moves)
+        units = edge_units(seeds[lo:lo + size], d, _dense(verts[lo:lo + size]), moves)
         rows, cols = np.nonzero(units <= cut)
         ends = np.cumsum(np.bincount(rows, minlength=len(units))).tolist()
         cols, us = cols.tolist(), units[rows, cols].tolist()
@@ -480,7 +492,8 @@ def search_cross_probe(d: int, model: WeightModel, replicates: int, *,
     ortho_axis = p + 1  # first axis outside both the subspace and the forward axis
 
     seeds = replicate_seeds(model, d, replicates)
-    taus = edge_units(seeds, d, [()] * replicates, [(ortho_axis, 1)])
+    taus = edge_units(seeds, d, np.zeros((replicates, 0), dtype=np.int64),
+                      [(ortho_axis, 1)])
     tau_ok = np.array([model.quantile(u) <= y for u in taus[:, 0].tolist()])
     paths = _fast_paths_exist(model, seeds, d, p, n_steps, x, node_cap)
     path_ok = np.array([found for found, _ in paths])

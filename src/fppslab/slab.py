@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain, islice
+from itertools import islice
 from math import inf
 
 from .errors import BudgetExceeded, DomainError
@@ -71,14 +71,22 @@ _TARGET, _INNER = 0, 1  # heap kinds; targets win ties
 # interpreter, peak RSS was 1.2-1.3 MB above the serial kernel's with 8
 # live, 1.4 with 16, 1.6 with 32 and 1.9 with 64. The 80 searches of one
 # such job took 129 ms with 8 live, 99 with 16 and 81 with 64, against
-# 145 ms one at a time.
+# 145 ms one at a time. One block of 128 for every span was tried too:
+# subadd --d 5 --n 8 --reps 200 then peaked at 568 MB against 89 MB with
+# these blocks, and took 118 s against 84 s.
 _SEARCH_BLOCK = 64
 _WIDE_BLOCK = 8
 # The fewest live searches whose stars one edge_units pass weighs; with
-# fewer, each edge comes from edge_weight. At d = 3-5 a pass over 1-6
-# stars cost 105-160 us, and the same stars through edge_weight 26-41 us
-# each: the pass broke even at 4-6 stars.
-_BATCH_MIN = 6
+# fewer, each edge comes from edge_weight. A pass over 1-6 stars costs
+# 38-40 us at d = 3 and 53-57 us at d = 5, tolist included, and a star
+# through edge_weight 11-29 us. In the kernel with n searches live
+# throughout (exp(1)), us per settled vertex with the pass / without it
+# read at n = 4: 16.7 / 15.0 (d = 3, crossings), 30.1 / 32.1 (d = 5,
+# crossings), 21.3 / 21.6 (d = 4, span 3); at n = 5: 15.3 / 14.8,
+# 30.6 / 32.7, 19.8 / 21.3; at n = 6: 15.1 / 15.5, 28.9 / 32.4,
+# 19.4 / 21.5. From 5 on the pass is within 4% of edge_weight at d = 3
+# and ahead of it at d = 4-5.
+_BATCH_MIN = 5
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,6 @@ def _lazy_search(model, starts: list[Point], span: int, settled_cap: int,
         moves.remove((0, -1))  # every expanded vertex lies on x_1 = lo
     hashed = seeds is not None and type(model) is WeightModel
     quantile = model.quantile if hashed else None
-    axes = range(d)
     block = _SEARCH_BLOCK if span == 1 else _WIDE_BLOCK
     waiting = iter(range(len(starts)))
     # per live search: [r, hi, dist, heap, best, its model, settled count]
@@ -155,10 +162,9 @@ def _lazy_search(model, starts: list[Point], span: int, settled_cap: int,
         live = [search for search, _, _ in popped]
         units = None
         if hashed and len(live) >= _BATCH_MIN:
-            # dense coordinates, zeros included, which edge_units allows
+            # the popped vertices are the rows of edge_units' coordinate matrix
             units = edge_units([search[5].seed for search in live], d,
-                               [tuple(chain.from_iterable(zip(axes, v)))
-                                for _, _, v in popped], moves).tolist()
+                               [v for _, _, v in popped], moves).tolist()
         for i, (search, val, v) in enumerate(popped):
             _, hi, dist, heap, best, source, _ = search
             lo = hi - span

@@ -18,19 +18,20 @@ The states depend on the seed, so the cache belongs to one instance:
 ``with_seed`` builds a new model with an empty one, and the cache takes
 no part in equality, hashing or ``repr``.
 
-``edge_units(seeds, d, verts, moves)`` is the batch form of the oracle,
+``edge_units(seeds, d, coords, moves)`` is the batch form of the oracle,
 for many (seed, vertex) pairs at once: it returns the units of the edges
 that each of ``moves`` crosses from each vertex, each under its vertex's
 own seed, and hashes all their keys in lockstep as numpy ``uint64``
 arrays, one vectorized SplitMix64 round per key word. Each key starts
 from its seed's state after the dimension word, ``fold64(seed, (d,))``,
-which a small cache keeps per (seed, d) across calls, and each word's row
-comes from the vertices' coordinates, given sparse (any subset of the
-coordinates that holds every nonzero one), so no key matrix is ever built. uint64
-arithmetic wraps mod 2^64 exactly like the scalar fold, and the
-bits-to-unit map rounds the same in numpy as in Python (its + 0.5 rounds
-to even above 2^52 in both, and both clamp 1.0 to ``_Y_MAX``), so the
-units are the scalar ones bit for bit. The quantile step stays with the
+which a small cache keeps per (seed, d) across calls. The vertices come
+as a dense coordinate matrix, one row per vertex, which may leave out
+trailing columns that are zero in every row: each coordinate word of
+every key comes from its column, XORed in by one broadcast per round, so
+no key matrix is ever built. uint64 arithmetic wraps mod 2^64 exactly
+like the scalar fold, and the bits-to-unit map rounds the same in numpy
+as in Python (its + 0.5 rounds to even above 2^52 in both, and both
+clamp 1.0 to ``_Y_MAX``), so the units are the scalar ones bit for bit. The quantile step stays with the
 caller and stays scalar: ``np.log1p`` differs from ``math.log1p`` in the
 last ulp on about 10% of inputs, so a vectorized quantile would change
 the weights. ``WeightModel.quantile_cut(x)`` bounds the units whose
@@ -54,7 +55,6 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -120,53 +120,50 @@ def _dimension_state(seed: int, d: int) -> int:
     return fold64(seed, (d,))
 
 
-def edge_units(seeds, d: int, verts, moves) -> np.ndarray:
+def edge_units(seeds, d: int, coords, moves) -> np.ndarray:
     """Oracle units of the edges that ``moves`` cross from S vertices of Z^d.
 
-    ``verts[s]`` lists coordinates of vertex s flat, as (i, x_i, j, x_j,
-    ...) with each index at most once; every nonzero coordinate must be
-    there, and a zero one may be. ``seeds[s]`` is the seed of its
-    realization. ``moves`` lists (axis, delta) pairs, with
+    ``coords`` is an (S, k) integer array, or a sequence of S equal-length
+    integer sequences, with k <= d: row s holds the first k coordinates of
+    vertex s, and its coordinates past those are 0. ``seeds[s]`` is the seed
+    of its realization. ``moves`` lists (axis, delta) pairs, with
     delta = +1 or -1. Entry (s, m) of the (S, len(moves)) float64 result is
     ``bits_to_unit(fold64(seeds[s], (d, axis, *base)))`` for the edge
     between vertex s and vertex s + delta e_axis: the unit whose
     ``quantile`` is that edge's ``edge_weight``. All S x len(moves) keys
-    are hashed in one pass of d + 1 vectorized rounds.
+    are hashed in one pass of d + 1 vectorized rounds; coordinate round i
+    XORs column i into every key at once, skipped for an all-zero column,
+    and then swaps in c - 1 for the moves that lower axis i.
     """
     states = {s: _dimension_state(s, d) for s in set(seeds)}
-    h = np.empty((len(verts), len(moves)), dtype=np.uint64)
+    try:  # values inside int64 convert without making a Python int each
+        block = np.asarray(coords, dtype=np.int64).view(np.uint64)
+    except OverflowError:
+        block = np.array([[c & U64 for c in v] for v in coords], dtype=np.uint64)
+    h = np.empty((len(block), len(moves)), dtype=np.uint64)
     tmp = np.empty_like(h)
     h[:] = np.array([states[s] for s in seeds], dtype=np.uint64)[:, None]
     h += _GOLDEN_U
     h ^= np.array([axis for axis, _ in moves], dtype=np.uint64)
     _mix64_inplace(h, tmp)
-    # every nonzero coordinate as (index, vertex, value mod 2^64), by index
-    flat = list(chain.from_iterable(verts))
-    index = np.array(flat[::2], dtype=np.intp)
-    vertex = np.repeat(np.arange(len(verts)), [len(v) // 2 for v in verts])
-    try:  # values inside int64 convert without making a Python int each
-        value = np.array(flat[1::2], dtype=np.int64).view(np.uint64)
-    except OverflowError:
-        value = np.array([c & U64 for c in flat[1::2]], dtype=np.uint64)
-    order = np.argsort(index, kind="stable")
-    vertex, value = vertex[order], value[order]
-    bounds = np.searchsorted(index[order], np.arange(d + 1)).tolist()
     # the moves whose edge has its base one below the vertex on their axis
     lowered: dict[int, list[int]] = {}
     for m, (axis, delta) in enumerate(moves):
         if delta < 0:
             lowered.setdefault(axis, []).append(m)
+    nonzero = block.any(axis=0).tolist() + [False] * (d - block.shape[1])
     for i in range(d):
         h += _GOLDEN_U
-        a, b = bounds[i], bounds[i + 1]
-        rows, vals = vertex[a:b], value[a:b]
-        if a < b:
-            h[rows] ^= vals[:, None]
-        for m in lowered.get(i, ()):
-            # c - 1 in place of c: c ^ (c - 1) is all ones at c = 0
-            h[:, m] ^= _ALL_ONES_U
-            if a < b:
-                h[rows, m] ^= vals ^ (vals - _ONE_U) ^ _ALL_ONES_U
+        if nonzero[i]:
+            col = block[:, i]
+            h ^= col[:, None]
+            if i in lowered:
+                col = col ^ (col - _ONE_U)  # turns c into c - 1 in the keys
+                for m in lowered[i]:
+                    h[:, m] ^= col
+        else:
+            for m in lowered.get(i, ()):
+                h[:, m] ^= _ALL_ONES_U  # c ^ (c - 1) at c = 0
         _mix64_inplace(h, tmp)
     h >>= 11
     units = tmp.view(np.float64)

@@ -13,7 +13,9 @@ from fppslab.errors import DomainError, SamplerMismatch
 from fppslab.experiments import (
     _PROBE_BLOCK,
     ExperimentConfig,
+    _dense,
     _fast_paths_exist,
+    _next_level,
     concentration_curve,
     ks_statistic,
     normalized_values,
@@ -298,6 +300,33 @@ def test_search_cross_probe_work_count(monkeypatch):
     over = [cheap_state_count(model.with_seed(s), d, d // 2, rep.path_steps, x) > node_cap
             for s in replicate_seeds(model, d, reps)]
     assert 0 < rep.capped_replicates <= sum(over) < reps
+
+
+def test_probe_block_scatter_matches_dense_tuples():
+    # the probe's levels scattered into blocks cut at their largest nonzero
+    # index + 1 give the units of the full dense vertices; level 0 holds
+    # only the origin (a block of no columns), and level 2 holds it again
+    model = WeightModel(family="exp", a=1.0, seed=3)
+    d, p = 16, 4
+    star = [(axis, delta) for axis in range(1, p + 1) for delta in (1, -1)]
+    seeds = replicate_seeds(model, d, 3)
+    level = [{(): 0.0} for _ in seeds]
+    for t in range(4):
+        verts = [v for states in level for v in states]
+        owners = [s for s, states in zip(seeds, level) for _ in states]
+        dense = []
+        for v in verts:
+            row = [0] * d
+            for i in range(0, len(v), 2):
+                row[v[i]] = v[i + 1]
+            dense.append(tuple(row))
+        block = _dense(verts)
+        assert block.shape == (len(verts), max((v[-2] + 1 for v in verts if v), default=0))
+        assert (t % 2 == 0) == (() in verts)
+        for moves in (star, [(0, 1)], [(p + 1, 1), (p, -1)]):
+            assert (edge_units(owners, d, block, moves).tobytes()
+                    == edge_units(owners, d, dense, moves).tobytes())
+        level = _next_level(model, d, seeds, level, star, 1.0, math.inf)
 
 
 def test_search_cross_probe_makes_no_scalar_oracle_call(monkeypatch):

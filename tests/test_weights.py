@@ -29,11 +29,6 @@ from fppslab.weights import (
 from oracles import edge_weight_reference, table_quantile_bruteforce, unmix64
 
 
-def sparse(v):
-    """A vertex as ``edge_units`` takes it: its nonzero coordinates, flat."""
-    return tuple(w for i, c in enumerate(v) if c for w in (i, c))
-
-
 # table for F with an atom at x = 1.0 of mass 0.4 (quantile flat on (0.3, 0.7])
 JUMP_TABLE = ((0.0, 0.0), (0.3, 1.0), (0.7, 1.0), (1.0, 2.0))
 # two atoms: x = 0.3 carries mass 0.3 and x = 1.0 the mass 0.1
@@ -150,7 +145,7 @@ def test_all_ones_hash_gives_a_finite_weight():
     assert fold64(5, (3, 1, *e.base)) == U64
     scalar = model.edge_weight(e)
     assert 0.0 < scalar < math.inf
-    batch = model.quantile(edge_units([5], 3, [sparse(e.base)], [(1, 1)])[0, 0])
+    batch = model.quantile(edge_units([5], 3, [e.base], [(1, 1)])[0, 0])
     reference = edge_weight_reference(model, e)
     assert scalar.hex() == batch.hex() == reference.hex()
 
@@ -291,10 +286,30 @@ def test_edge_units_match_edge_weight_bit_for_bit(family, a, points, data, d, se
         for axis, delta in moves:
             base = v if delta > 0 else v[:axis] + (v[axis] - 1,) + v[axis + 1:]
             expected.append(m.edge_weight(EdgeId(base, axis)).hex())
-    units = edge_units(seeds, d, [sparse(v) for v in verts], moves)
+    units = edge_units(seeds, d, verts, moves)
     assert units.shape == (len(seeds), len(moves))
     got = [m.quantile(u).hex() for m, row in zip(models, units.tolist()) for u in row]
     assert got == expected
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), d=st.integers(1, 40),
+       seeds=st.lists(st.integers(-(2**64), 2**65), min_size=1, max_size=5))
+def test_narrow_coordinate_block_matches_its_zero_padded_block(data, d, seeds):
+    # a block of k < d columns stands for coordinates k..d-1 all 0; some of
+    # its own columns are all 0 too, and moves lower axes inside and past it
+    k = data.draw(st.integers(0, d))
+    zero = data.draw(st.sets(st.integers(0, d - 1)))
+    rows = [[0 if i in zero else data.draw(COORDS) for i in range(k)] for _ in seeds]
+    axes = data.draw(st.lists(st.integers(0, d - 1), unique=True, min_size=1))
+    moves = [(axis, delta) for axis in axes for delta in data.draw(st.permutations((1, -1)))]
+    padded = [row + [0] * (d - k) for row in rows]
+    narrow = edge_units(seeds, d, rows, moves)
+    assert narrow.shape == (len(seeds), len(moves))
+    assert narrow.tobytes() == edge_units(seeds, d, padded, moves).tobytes()
+    if all(-(2**63) <= c < 2**63 for row in rows for c in row):
+        block = np.array(rows, dtype=np.int64).reshape(len(seeds), k)
+        assert edge_units(seeds, d, block, moves).tobytes() == narrow.tobytes()
 
 
 @pytest.mark.parametrize("family, points", [("exp", None), ("uniform", None),
