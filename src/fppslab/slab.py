@@ -30,7 +30,16 @@ two sources:
 
 * ``weights.edge_units``, for a WeightModel with seeds and enough live
   searches: one vectorized hash pass over all those stars, each edge under
-  its own search's seed, then the scalar ``quantile`` of each unit needed;
+  its own search's seed, then the scalar ``quantile`` of each unit needed.
+  One ``weight_floor`` call then bounds every unit's weight from below
+  in numpy, and the per-edge loop drops a move whose floor already puts
+  its endpoint above its search's best target (``_reach``) at one float
+  comparison, before it builds the endpoint, looks it up or calls
+  ``quantile``. It is exact because the floor is at most the weight, and
+  a move with val + weight > best reaches ``continue`` in the loop
+  without writing a distance or pushing an entry, whatever it meets
+  there. So every push, settle order, value, exit and settled count is
+  the one the unfiltered loop gives;
 * ``edge_weight``, edge by edge, for a single search, a step with few
   live searches, or any other model (``CoupledWeights``, test doubles),
   since a numpy pass over a few stars costs more than the scalar oracle.
@@ -47,7 +56,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import islice, repeat
 from math import inf
 
 from .errors import BudgetExceeded, DomainError
@@ -78,14 +87,15 @@ _SEARCH_BLOCK = 64
 _WIDE_BLOCK = 8
 # The fewest live searches whose stars one edge_units pass weighs; with
 # fewer, each edge comes from edge_weight. A pass over 1-6 stars costs
-# 38-40 us at d = 3 and 53-57 us at d = 5, tolist included, and a star
-# through edge_weight 11-29 us. In the kernel with n searches live
-# throughout (exp(1)), us per settled vertex with the pass / without it
-# read at n = 4: 16.7 / 15.0 (d = 3, crossings), 30.1 / 32.1 (d = 5,
-# crossings), 21.3 / 21.6 (d = 4, span 3); at n = 5: 15.3 / 14.8,
-# 30.6 / 32.7, 19.8 / 21.3; at n = 6: 15.1 / 15.5, 28.9 / 32.4,
-# 19.4 / 21.5. From 5 on the pass is within 4% of edge_weight at d = 3
-# and ahead of it at d = 4-5.
+# 38-41 us at d = 3 and 53-56 us at d = 5, tolist included, 41-44 and
+# 56-59 us with the weight_floor rows, and a star through edge_weight
+# 11-29 us. In the kernel with n searches live throughout (exp(1)), us
+# per settled vertex with the pass / without it, the least of 14 runs,
+# read at n = 4: 17.3 / 15.0 (d = 3, crossings), 28.2 / 31.8 (d = 5,
+# crossings), 20.0 / 22.0 (d = 4, span 3); at n = 5: 15.9 / 14.9,
+# 26.2 / 31.8, 18.1 / 21.2; at n = 6: 15.0 / 15.1, 25.5 / 31.9,
+# 15.6 / 23.2. From 5 on the pass is within 7% of edge_weight at d = 3
+# and 15-33% ahead of it at d = 4-5; at 4 it is 15% behind at d = 3.
 _BATCH_MIN = 5
 
 
@@ -96,6 +106,24 @@ class PassageSample:
     value: float
     exit_vertex: Point
     settled_count: int
+
+
+def _reach(best: float, val: float) -> float:
+    """The prune threshold of a move from a vertex settled at ``val`` in a
+    search whose best target is ``best``: a move whose weight w has
+    ``weight_floor`` above it has val + w > best as the loop computes it.
+
+    The threshold is best - val + best * 2^-50 as computed. For a normal
+    best and 0 <= val < best, the subtraction and the sum each round by at
+    most an ulp of best, and best * 2^-50 is at least three ulps of best
+    after rounding. So the threshold lies an ulp of best or more above
+    best - val, a weight w above it has val + w > best + ulp(best)
+    exactly, and val + w rounds to a double above best. For a subnormal
+    best the subtraction and the sum are exact, and val + w > best rounds
+    above best, as it is exact too or at least the least normal double.
+    An infinite best gives an infinite threshold, which prunes nothing.
+    """
+    return best - val + best * 2.0**-50
 
 
 def _lazy_search(model, starts: list[Point], span: int, settled_cap: int,
@@ -122,6 +150,12 @@ def _lazy_search(model, starts: list[Point], span: int, settled_cap: int,
     pushed that could not pop before the best target found so far
     (``best``): an inner entry at or above it, as targets win ties, or a
     target entry above it. A settled vertex keeps None as its distance.
+    After an ``edge_units`` pass, one ``weight_floor`` call bounds every
+    unit's weight from below, and the loop skips, before any other work,
+    each move whose floor exceeds ``_reach(best, val)``: its endpoint value
+    val + weight must exceed best, where the loop would push nothing.
+    The threshold takes best as it stood when the vertex's moves began;
+    best only falls while they run, so it stays conservative.
     """
     d = len(starts[0])
     moves = [(axis, delta) for axis in range(d) for delta in (1, -1)]
@@ -160,16 +194,22 @@ def _lazy_search(model, starts: list[Point], span: int, settled_cap: int,
             else:
                 raise BudgetExceeded("search exhausted without reaching a target")
         live = [search for search, _, _ in popped]
-        units = None
+        rows = None
         if hashed and len(live) >= _BATCH_MIN:
             # the popped vertices are the rows of edge_units' coordinate matrix
             units = edge_units([search[5].seed for search in live], d,
-                               [v for _, _, v in popped], moves).tolist()
-        for i, (search, val, v) in enumerate(popped):
+                               [v for _, _, v in popped], moves)
+            rows = zip(units.tolist(), model.weight_floor(units).tolist())
+        for search, val, v in popped:
             _, hi, dist, heap, best, source, _ = search
             lo = hi - span
-            row = units[i] if units else None
-            for m, (axis, delta) in enumerate(moves):
+            if rows is None:
+                reach, star = inf, zip(moves, repeat(None), repeat(0.0))
+            else:
+                reach, star = _reach(best, val), zip(moves, *next(rows))
+            for (axis, delta), unit, floor in star:
+                if floor > reach:  # val + weight > best: it would push nothing
+                    continue
                 if axis == 0 and not lo <= v[0] + delta <= hi:
                     continue
                 q = v[:axis] + (v[axis] + delta,) + v[axis + 1:]
@@ -177,8 +217,8 @@ def _lazy_search(model, starts: list[Point], span: int, settled_cap: int,
                 if known is None:
                     continue
                 # the edge's base is its endpoint with the smaller x_axis
-                nd = val + (quantile(row[m]) if row else
-                            source.edge_weight(EdgeId(v if delta > 0 else q, axis)))
+                nd = val + (source.edge_weight(EdgeId(v if delta > 0 else q, axis))
+                            if unit is None else quantile(unit))
                 if nd >= known:
                     continue
                 if q[0] == hi:

@@ -31,12 +31,16 @@ every key comes from its column, XORed in by one broadcast per round, so
 no key matrix is ever built. uint64 arithmetic wraps mod 2^64 exactly
 like the scalar fold, and the bits-to-unit map rounds the same in numpy
 as in Python (its + 0.5 rounds to even above 2^52 in both, and both
-clamp 1.0 to ``_Y_MAX``), so the units are the scalar ones bit for bit. The quantile step stays with the
-caller and stays scalar: ``np.log1p`` differs from ``math.log1p`` in the
-last ulp on about 10% of inputs, so a vectorized quantile would change
-the weights. ``WeightModel.quantile_cut(x)`` bounds the units whose
-weight can be at most x, so a caller that prunes weights above x sends
-only those units through ``quantile``.
+clamp 1.0 to ``_Y_MAX``), so the units are the scalar ones bit for bit.
+The quantile step stays with the caller and stays scalar: ``np.log1p``
+differs from ``math.log1p`` in the last ulp on about 10% of inputs, so a
+vectorized quantile would change the weights. The one exception decides
+a prune, never a weight: ``WeightModel.weight_floor(units)`` is a
+vectorized lower bound on each unit's weight, so a caller that prunes
+weights above a threshold skips every unit whose floor already exceeds
+it and sends only the rest through ``quantile``.
+``WeightModel.quantile_cut(x)`` bounds the units whose weight can be at
+most x, for a caller with one threshold x for all units.
 
 Supported families:
 
@@ -55,6 +59,7 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -137,7 +142,12 @@ def edge_units(seeds, d: int, coords, moves) -> np.ndarray:
     """
     states = {s: _dimension_state(s, d) for s in set(seeds)}
     try:  # values inside int64 convert without making a Python int each
-        block = np.asarray(coords, dtype=np.int64).view(np.uint64)
+        if isinstance(coords, np.ndarray):
+            block = coords.astype(np.int64, copy=False).view(np.uint64)
+        else:
+            k = len(coords[0]) if len(coords) else 0
+            block = np.fromiter(chain.from_iterable(coords), dtype=np.int64,
+                                count=len(coords) * k).reshape(len(coords), k).view(np.uint64)
     except OverflowError:
         block = np.array([[c & U64 for c in v] for v in coords], dtype=np.uint64)
     h = np.empty((len(block), len(moves)), dtype=np.uint64)
@@ -239,6 +249,10 @@ class WeightModel:
                                    default=())
     _xs: tuple[float, ...] = field(init=False, repr=False, compare=False, hash=False,
                                    default=())
+    # weight_floor's table pieces: the node ys past the first, and per piece
+    # (y0, x0, x1 - x0, y1 - y0), the last one flat at the last node
+    _pieces: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False,
+                                            hash=False, default=())
     # fold64 state after the key words (d, axis, x_1), per realization
     _prefix: dict[tuple[int, int, int], int] = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict)
@@ -273,6 +287,10 @@ class WeightModel:
             object.__setattr__(self, "points", pts)
             object.__setattr__(self, "_ys", tuple(p[0] for p in pts))
             object.__setattr__(self, "_xs", tuple(p[1] for p in pts))
+            pieces = [(y0, x0, x1 - x0, y1 - y0) for (y0, x0), (y1, x1) in zip(pts, pts[1:])]
+            pieces.append((*pts[-1], 0.0, 1.0))
+            object.__setattr__(self, "_pieces", (np.array(self._ys[1:]),
+                                                 *np.array(pieces).T.copy()))
         if self.a is not None:
             check_rate(self.a, "rate a")
 
@@ -366,6 +384,44 @@ class WeightModel:
             else:
                 hi = mid - 1
         return _bits_double(lo) + 2.0**-40
+
+    def weight_floor(self, units: np.ndarray) -> np.ndarray:
+        """A lower bound on ``quantile(u)`` for each u of the float64 array
+        ``units``, all in [2^-54, ``_Y_MAX``] as ``bits_to_unit`` gives
+        them, vectorized. It may decide a prune, never a weight.
+
+        For the uniform and table families it is ``quantile(u)`` bit for
+        bit: ``units / a``, and for the table the same correctly rounded
+        operations in the same order as ``quantile``, x0 + (u - y0) *
+        (x1 - x0) / (y1 - y0), on the piece with y0 <= u < y1. Inside a
+        piece that is the piece ``quantile`` takes; at a node's y, u - y0
+        is 0 and the result the node's x; past the last node the piece is
+        flat at the last x.
+
+        For exp it is 2u / (2 - u) / a, scaled down by 2^-48. The series
+        2u / (2 - u) = sum of u^n / 2^(n-1) lies below -log1p(-u) = sum of
+        u^n / n term by term, as 2^(n-1) >= n. The floor's four roundings
+        (2 - u, the quotient, 2(1 - 2^-48)/a and the product) each add at
+        most 2^-53 relative, and ``quantile``'s -``math.log1p(-y)`` / a
+        loses at most 2^-53 in its division and 2^-49 (8 ulps or more) in
+        ``math.log1p``, far beyond its error. The margin covers them all,
+        since every value involved is a normal double: exp weights lie in
+        [2^-54/a, 38/a].
+        """
+        if self.family == "uniform":
+            return units / self.a
+        if self.family == "exp":
+            floor = 2.0 - units
+            np.divide(units, floor, out=floor)
+            floor *= 2.0 * (1.0 - 2.0**-48) / self.a
+            return floor
+        node_y, y0, x0, dx, dy = self._pieces
+        j = np.searchsorted(node_y, units, side="right")  # the piece with y0 <= u
+        floor = units - y0[j]
+        floor *= dx[j]
+        floor /= dy[j]
+        floor += x0[j]
+        return floor
 
     def with_seed(self, seed: int) -> "WeightModel":
         """``dataclasses.replace(self, seed=seed)`` without re-running the

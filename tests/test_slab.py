@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from math import inf
 
 import numpy as np
@@ -15,6 +16,7 @@ from fppslab.slab import (
     _WIDE_BLOCK,
     DEFAULT_SETTLED_CAP,
     _concatenations,
+    _reach,
     _lazy_search,
     greedy_concatenation,
     point_to_hyperplane_time,
@@ -360,3 +362,76 @@ def test_block_raises_budget_exceeded_exactly_when_serial_does():
     # every cap raises on some block, and caps from 2 on let some block finish
     assert outcomes >= {(cap, tuple) for cap in range(1, 6)} | {
         (cap, list) for cap in range(2, 6)}
+
+
+# weights in the subnormal range
+SUBNORMAL_TABLE = ((0.0, 0.0), (0.5, 1e-315), (0.9, 3e-310))
+PRUNE_POINTS = {**FAMILY_POINTS, "subnormal": SUBNORMAL_TABLE}
+
+
+def _prune_model(family: str) -> WeightModel:
+    table = family in ("subnormal", "table")
+    return WeightModel(family="table" if table else family, a=1.0,
+                       points=PRUNE_POINTS[family])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), family=st.sampled_from(sorted(PRUNE_POINTS)))
+def test_dropped_moves_cannot_beat_the_best_target(data, family):
+    # each row's best sits within a few ulps of val + quantile(u) for one
+    # of its units, so the test meets ties and near ties; a move the floor
+    # drops must reach a value above best, where the loop pushes nothing
+    model = _prune_model(family)
+    nodes = [y for y, _ in model.points][1:] if model.points else [0.5]
+    unit = st.one_of(st.floats(2.0**-54, 1 - 2.0**-53), st.sampled_from(nodes))
+    for _ in range(data.draw(st.integers(1, 8))):
+        row = data.draw(st.lists(unit, min_size=1, max_size=6))
+        val = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0),
+                                  st.floats(0.0, 1e-300)))
+        best = val + model.quantile(data.draw(st.sampled_from(row)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            best = math.nextafter(best, data.draw(st.sampled_from((0.0, inf))))
+        best = data.draw(st.sampled_from((best, best, inf)))
+        if not val < best:  # a popped vertex lies below its search's best
+            continue
+        for u, floor in zip(row, model.weight_floor(np.array(row)).tolist()):
+            assert not floor > _reach(best, val) or val + model.quantile(u) > best, (
+                u, val, best)
+
+
+def test_prune_drops_a_move_above_best_and_keeps_a_tie():
+    for family in sorted(PRUNE_POINTS):
+        model = _prune_model(family)
+        floor = model.weight_floor(np.array([0.95]))[0]
+        weight = model.quantile(0.95)
+        # far above best, and exactly at best: the tie may be a target's
+        assert floor > _reach(weight / 4, 0.0), family
+        assert not floor > _reach(weight, 0.0)
+        assert not floor > _reach(inf, 0.0)
+
+
+def _two_atoms(x: float) -> tuple[tuple[float, float], ...]:
+    """A table whose every weight is x (u <= 0.5) or 2x: no double lies
+    strictly between its last two nodes. Sums of its weights are exact,
+    and two half steps tie one whole step."""
+    return ((0.0, x), (0.5, x), (math.nextafter(0.5, 1.0), 2 * x))
+
+
+# x = 2^-1073 keeps every path value subnormal, where best * 2^-50 rounds
+# to 0 and the threshold is best - val exactly
+@pytest.mark.parametrize("x", [0.5, 2.0**-1073])
+@pytest.mark.parametrize("d,span", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (3, 3)])
+def test_atom_ties_in_the_batched_path_match_the_reference(d, span, x):
+    # ties are everywhere, and n >= _BATCH_MIN, so edge_units weighs the
+    # stars and the prune meets targets that tie the best one exactly
+    model = WeightModel(family="table", points=_two_atoms(x), seed=9)
+    n = 2 * _SEARCH_BLOCK if span == 1 else 3 * _WIDE_BLOCK
+    seeds = [derive_seed(900 + d, span, r) for r in range(n)]
+    starts = [(r % 3 - 1,) + (0,) * (d - 1) for r in range(n)]
+    serial = []
+    for seed, start in zip(seeds, starts):
+        value, exit_vertex, settled = search_reference(model.with_seed(seed), start, span)
+        serial.append((value.hex(), exit_vertex, settled))
+    assert {model.with_seed(seed).edge_weight(EdgeId((0,) * d, axis))
+            for seed in seeds for axis in range(d)} == {x, 2 * x}
+    assert _block(model, starts, span, seeds) == serial

@@ -12,6 +12,7 @@ from fppslab.errors import DomainError, UnsupportedModel
 from fppslab.lattice import EdgeId
 from fppslab.weights import (
     _GOLDEN,
+    _Y_MAX,
     RATE_MAX,
     RATE_MIN,
     U64,
@@ -374,3 +375,55 @@ def test_prefix_cache_leaves_model_identity_alone():
         assert child == replaced and hash(child) == hash(replaced)
         assert repr(child) == repr(replaced)
         assert not child._prefix and filled._prefix
+
+
+# a near-flat piece: slope 1e-20 between y = 0.25 and y = 0.75
+NEAR_FLAT_TABLE = ((0.0, 0.0), (0.25, 1e-21), (0.75, 6e-21), (1.0, 2.0))
+# weights in the subnormal range, and a last node below y = 1
+SUBNORMAL_TABLE = ((0.0, 0.0), (0.5, 1e-315), (0.9, 3e-310))
+FLOOR_MODELS = [
+    ("exp", 1.3, None), ("exp", RATE_MIN, None), ("exp", RATE_MAX, None),
+    ("uniform", 0.7, None), ("table", None, ATOM_TABLE), ("table", None, JUMP_TABLE),
+    ("table", None, NEAR_FLAT_TABLE), ("table", None, SUBNORMAL_TABLE),
+]
+UNIT_MIN = 2.0**-54  # the least unit bits_to_unit gives
+
+
+def _ulp_steps(u: float, k: int) -> float:
+    for _ in range(abs(k)):
+        u = math.nextafter(u, math.inf if k > 0 else 0.0)
+    return u
+
+
+@st.composite
+def adversarial_units(draw, model: WeightModel):
+    """A unit at a table node, inside a piece (flat ones included), a few
+    ulps from cdf(x), or anywhere, moved by up to 4 ulps, in [2^-54, _Y_MAX]."""
+    kind = draw(st.sampled_from(("node", "piece", "cdf", "any")))
+    ys = [y for y, _ in model.points] + [1.0] if model.points else [0.0, 1.0]
+    if kind == "node" and model.points:
+        u = draw(st.sampled_from(ys[:-1]))
+    elif kind == "piece":
+        j = draw(st.integers(0, len(ys) - 2))
+        u = draw(st.floats(ys[j], ys[j + 1]))
+    elif kind == "cdf":
+        xs = [x for _, x in model.points] if model.points else [0.0]
+        scale = 40.0 / (model.a or 1.0)
+        x = draw(st.one_of(st.sampled_from(xs), st.floats(0.0, scale)))
+        u = model.cdf(x)
+    else:
+        u = draw(st.floats(UNIT_MIN, _Y_MAX))
+    u = _ulp_steps(u, draw(st.integers(-4, 4)))
+    return min(max(u, UNIT_MIN), _Y_MAX)
+
+
+@pytest.mark.parametrize("family, a, points", FLOOR_MODELS)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_weight_floor_stays_at_or_below_the_quantile(family, a, points, data):
+    model = WeightModel(family=family, a=a, points=points)
+    units = data.draw(st.lists(adversarial_units(model), min_size=1, max_size=40))
+    floor = model.weight_floor(np.array(units)).tolist()
+    assert [(u, f) for u, f in zip(units, floor) if not f <= model.quantile(u)] == []
+    if family != "exp":  # the uniform and table floors are the quantile itself
+        assert floor == [model.quantile(u) for u in units]
