@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import cache
 from pathlib import Path
 
 from .bounds import bound_report
@@ -173,8 +174,8 @@ def _cmd_sample(args, sampler: str) -> None:
     header = ["d", "replicate", "seed", "value"]
     rows = []
     for d in cfg.d_grid:
-        values = sample_crossing_values(cfg, sampler, d)
         seeds = replicate_seeds(model, d, cfg.replicates)
+        values = sample_crossing_values(cfg, sampler, d, seeds=seeds)
         for rep, (seed, v) in enumerate(zip(seeds, values)):
             rows.append([d, rep, seed, float(v)])
     _emit(args, f"sample-{sampler}", params, header, rows)
@@ -253,9 +254,15 @@ def _cmd_couple_check(args) -> None:
 # -- parser -------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
     """Parser for all subcommands, each command's handler, and each
     command's option actions by destination name.
+
+    It is built once per process and shared by every main() call: building
+    the eight subparsers costs about 30 times a parse, and nothing changes
+    the parser or its tables once built. A parse, a failed one included,
+    leaves nothing in them: each fills a fresh namespace.
 
     Every option defaults to argparse.SUPPRESS, so a parse yields only what
     the user actually typed; the real default is the action's ``fallback``.

@@ -74,17 +74,20 @@ def replicate_seeds(model: WeightModel, d: int, n: int) -> list[int]:
     return [derive_seed(model.seed, d, rep) for rep in range(n)]
 
 
-def sample_crossing_values(config: ExperimentConfig, sampler: str, d: int) -> np.ndarray:
+def sample_crossing_values(config: ExperimentConfig, sampler: str, d: int, *,
+                           seeds: list[int] | None = None) -> np.ndarray:
     """Independent slab-crossing samples at dimension d, one per replicate.
 
-    Replicate ``rep`` uses seed ``rep`` of ``replicate_seeds``. The eden
+    Replicate ``rep`` uses seed ``rep`` of ``replicate_seeds``; a caller
+    that already holds those seeds passes them as ``seeds``. The eden
     sampler runs all replicates through the lockstep race ``race_values``,
     whose values equal ``sample_slab_crossing``'s bit for bit.
     """
     if sampler not in SAMPLERS:
         raise DomainError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
     model = config.model
-    seeds = replicate_seeds(model, d, config.replicates)
+    if seeds is None:
+        seeds = replicate_seeds(model, d, config.replicates)
     if sampler == "eden":
         if model.family != "exp":
             raise SamplerMismatch(
@@ -306,17 +309,15 @@ class SearchCrossReport:
     capped_replicates: int
 
 
-# Replicates whose searches share one hash pass per level. A larger block
-# spreads numpy's per-call cost over more keys but holds all its members'
-# levels at once. In a fresh interpreter the probe's peak RSS at d = 256
-# (60 replicates) read 31.8-31.9 MB with blocks of 8, 32.0 with 12,
-# 32.8 with 16, 32.9-33.0 with 17-18 and 33.3-33.4 with 20, against
-# 32.4-32.6 with the blocks of 4 and per-seed tables this sweep replaced;
-# at d = 64 (2,000 replicates) it read 31.1-31.4 MB for all of them,
-# against 31.8-31.9. 16 is the largest block within 0.5 MB of the old
-# peak at d = 256.
-_PROBE_BLOCK = 16
-# the most keys one edge_units pass hashes, so its arrays stay in cache
+# The most keys one edge_units pass hashes, so its arrays stay in cache.
+# The probe cuts its seeds to fill passes, not into blocks of a fixed
+# count: a block holds all its members' levels at once, and blocks of 64
+# raised peak RSS at d = 256 (60 replicates) from 37.8 MB (blocks of 16) to
+# 53.2 MB. Blocks whose level-1 stars fill one pass hold about 30 seeds at
+# d = 64 and 5 at d = 256. In a fresh interpreter (exp(1), seed 1012) the
+# probe's peak RSS read 31.5 MB against 31.1 with the blocks of 16 at d = 64
+# (2,000 replicates), 34.1 against 37.8 at d = 256 and 35.2 against 47.8 at
+# d = 512 (20 replicates).
 _PASS_KEYS = 1 << 14
 
 # a vertex as its nonzero coordinates, flat and by index: (i, x_i, j, x_j, ...)
@@ -345,40 +346,48 @@ def _dense(verts: list[Sparse]) -> np.ndarray:
     return block
 
 
+def _cheap_entries(model: WeightModel, units: np.ndarray,
+                   cut: float) -> tuple[list[int], list[int], list[float]]:
+    """The entries of the unit matrix ``units`` at most ``cut``, row by
+    row, as flat lists (bounds, cols, weights): row r's are those at
+    bounds[r]:bounds[r + 1], in column order. The weights come from the
+    scalar ``unit_weight``, so each is its edge's ``edge_weight`` bit for
+    bit."""
+    weigh = model.unit_weight
+    rows, cols = np.nonzero(units <= cut)
+    bounds = [0, *np.cumsum(np.bincount(rows, minlength=len(units))).tolist()]
+    return bounds, cols.tolist(), [weigh(u) for u in units[rows, cols].tolist()]
+
+
+def _rows(entries: tuple[list[int], list[int], list[float]]):
+    """``_cheap_entries``' lists row by row, as (cols, weights) pairs."""
+    bounds, cols, ws = entries
+    for a, b in zip(bounds, bounds[1:]):
+        yield cols[a:b], ws[a:b]
+
+
 def _cheap_moves(model: WeightModel, d: int, seeds: list[int], verts: list[Sparse],
                  moves, cut: float):
     """For each (seed, vertex) pair in turn, the indices and weights of the
-    ``moves`` whose oracle unit is at most ``cut``, in move order. The
-    units come from ``edge_units`` passes of at most ``_PASS_KEYS`` keys,
-    made as the pairs are consumed, and the weights from the scalar
-    ``quantile``, so each weight is its edge's ``edge_weight`` bit for bit."""
-    quantile = model.quantile
+    ``moves`` whose oracle unit is at most ``cut``, in move order
+    (``_cheap_entries``). The units come from ``edge_units`` passes of at
+    most ``_PASS_KEYS`` keys, made as the pairs are consumed."""
     size = max(1, _PASS_KEYS // len(moves))
     for lo in range(0, len(verts), size):
         units = edge_units(seeds[lo:lo + size], d, _dense(verts[lo:lo + size]), moves)
-        rows, cols = np.nonzero(units <= cut)
-        ends = np.cumsum(np.bincount(rows, minlength=len(units))).tolist()
-        cols, us = cols.tolist(), units[rows, cols].tolist()
-        for a, b in zip([0] + ends, ends):
-            yield cols[a:b], [quantile(u) for u in us[a:b]]
+        entries = _cheap_entries(model, units, cut)
+        del units  # free the pass before its rows are used
+        yield from _rows(entries)
 
 
-def _next_level(model: WeightModel, d: int, seeds: list[int],
-                level: list[dict[Sparse, float]], moves, cut: float,
-                x: float) -> list[dict[Sparse, float]]:
-    """One step of the sweep for every seed at once: from ``level[r]``
-    (v -> least cost), each vertex one of ``moves`` reaches within x,
-    mapped to its least ``cost + w``. All seeds' moves share the
-    ``edge_units`` passes, and only units at or below ``cut`` go through the
-    scalar ``quantile``: any other edge weighs more than x."""
-    todo_r: list[int] = []
-    todo_v: list[Sparse] = []
-    for r, states in enumerate(level):
-        todo_v += states
-        todo_r += [r] * len(states)
+def _reached(level: list[dict[Sparse, float]], todo_r: list[int], todo_v: list[Sparse],
+             moves, cheap, x: float) -> list[dict[Sparse, float]]:
+    """Each vertex one of ``moves`` reaches within x from a state v of
+    ``level[r]`` (v -> least cost), mapped to its least ``cost + w``; the
+    states come as the pairs (todo_r, todo_v), and ``cheap`` yields each
+    pair's cheap moves and weights in turn."""
     nxt: list[dict[Sparse, float]] = [{} for _ in level]
-    got = _cheap_moves(model, d, [seeds[r] for r in todo_r], todo_v, moves, cut)
-    for r, v, (ms, ws) in zip(todo_r, todo_v, got):
+    for r, v, (ms, ws) in zip(todo_r, todo_v, cheap):
         cost, reach = level[r][v], nxt[r]
         for m, w in zip(ms, ws):
             nc = cost + w
@@ -387,6 +396,23 @@ def _next_level(model: WeightModel, d: int, seeds: list[int],
                 if nc < reach.get(q, inf):
                     reach[q] = nc
     return nxt
+
+
+def _next_level(model: WeightModel, d: int, seeds: list[int],
+                level: list[dict[Sparse, float]], moves, cut: float,
+                x: float) -> list[dict[Sparse, float]]:
+    """One step of the sweep for every seed at once: from ``level[r]``
+    (v -> least cost), each vertex one of ``moves`` reaches within x,
+    mapped to its least ``cost + w``. All seeds' moves share the
+    ``edge_units`` passes, and only units at or below ``cut`` are weighed:
+    any other edge weighs more than x."""
+    todo_r: list[int] = []
+    todo_v: list[Sparse] = []
+    for r, states in enumerate(level):
+        todo_v += states
+        todo_r += [r] * len(states)
+    cheap = _cheap_moves(model, d, [seeds[r] for r in todo_r], todo_v, moves, cut)
+    return _reached(level, todo_r, todo_v, moves, cheap, x)
 
 
 def _keep_cheapest(levels: list[dict[Sparse, float]], k: int, d: int) -> None:
@@ -405,24 +431,45 @@ def _keep_cheapest(levels: list[dict[Sparse, float]], k: int, d: int) -> None:
         levels[t][v] = cost
 
 
+def _filled_blocks(sizes: list[int], per_state: int):
+    """Cut seeds 0..len(sizes)-1 into runs (lo, hi) whose states, ``sizes[r]``
+    for seed r with ``per_state`` keys each, fill at most one pass of
+    ``_PASS_KEYS`` keys; a seed that alone overfills one is a run of its own."""
+    lo = keys = 0
+    for r, n in enumerate(sizes):
+        if r > lo and keys + n * per_state > _PASS_KEYS:
+            yield lo, r
+            lo, keys = r, 0
+        keys += n * per_state
+    yield lo, len(sizes)
+
+
 def _fast_paths_exist(model: WeightModel, seeds: list[int], d: int, p: int, n_steps: int,
-                      x: float, node_cap: int) -> list[tuple[bool, bool]]:
-    """Whether an n-step path with total weight <= x exists, per seed.
+                      x: float, node_cap: int) -> list[tuple[bool, bool, float]]:
+    """Whether an n-step path with total weight <= x exists, per seed, and
+    the weight of its orthogonal first step, the edge from the origin
+    along axis p + 1.
 
     The first n-1 steps move inside the subspace of axes 1..p; the last
-    step is the forward edge. Returns (found, capped) for each seed: those
-    of a best-first search over the states (t, v), keyed (cost, t, dense
-    v), that prunes partial costs above x and gives up, capped, once it
-    has settled more than ``node_cap`` states. When the cap bites,
-    ``found`` is False.
+    step is the forward edge. Returns (found, capped, tau) for each seed:
+    found and capped are those of a best-first search over the states
+    (t, v), keyed (cost, t, dense v), that prunes partial costs above x
+    and gives up, capped, once it has settled more than ``node_cap``
+    states. When the cap bites, ``found`` is False.
 
-    The seeds run in blocks of ``_PROBE_BLOCK``, and each block is swept
-    level by level (``_next_level``): level t maps each vertex v to the
-    least cost of a t-step path to it whose partial costs are all at most
-    x, every block member's at once. The levels run the search's own tests
-    (``nc <= x`` and ``nc < best``) on the same float sums, added in path
-    order; weights are >= 0 and float addition is monotone, so both find
-    each state's least cost.
+    The search is a level sweep (``_next_level``): level t maps each
+    vertex v to the least cost of a t-step path to it whose partial costs
+    are all at most x, many seeds' at once. The levels run the search's
+    own tests (``nc <= x`` and ``nc < best``) on the same float sums,
+    added in path order; weights are >= 0 and float addition is monotone,
+    so both find each state's least cost. The passes are filled, not cut
+    to a fixed count of seeds. The origin's first moves and each seed's
+    orthogonal edge are weighed for as many seeds as one ``edge_units``
+    pass of ``_PASS_KEYS`` keys holds, in that one pass. Those seeds then
+    run the deeper levels in blocks cut so that each block's level-1
+    states, with one key per next move, fill about one pass
+    (``_filled_blocks``). Every edge's unit is that of its own (seed,
+    edge) key, so how the seeds are grouped changes no level.
 
     After each subspace level, a seed that has seen more than ``node_cap``
     states keeps only the states with its ``node_cap`` smallest keys, and
@@ -440,25 +487,48 @@ def _fast_paths_exist(model: WeightModel, seeds: list[int], d: int, p: int, n_st
     """
     cut = model.quantile_cut(x)
     star = [(axis, delta) for axis in range(1, p + 1) for delta in (1, -1)]
+    forward = [(0, 1)]
+    first = star if n_steps > 1 else forward
 
-    def block_paths(block: list[int]) -> list[tuple[bool, bool]]:
+    def block_paths(block: list[int], reached) -> list[tuple[bool, bool]]:
+        """(found, capped) for each seed of ``block``, from its level 1."""
+        if n_steps == 1:  # level 1 is past the forward edge
+            return [(bool(e), False) for e in reached]
         levels = [[{(): 0.0}] for _ in block]  # per seed, its levels 0..t
         capped = [False] * len(block)
-        for _ in range(n_steps - 1):
-            reached = _next_level(model, d, block, [past[-1] for past in levels],
-                                  star, cut, x)
-            for r, states in enumerate(reached):
-                levels[r].append(states)
-                if sum(map(len, levels[r])) > node_cap:
+        for t in range(1, n_steps):
+            if t > 1:
+                reached = _next_level(model, d, block, [past[-1] for past in levels],
+                                      star, cut, x)
+            for r, (past, states) in enumerate(zip(levels, reached)):
+                past.append(states)
+                if sum(map(len, past)) > node_cap:
                     capped[r] = True
-                    _keep_cheapest(levels[r], node_cap, d)
+                    _keep_cheapest(past, node_cap, d)
         terminal = [past[-1] for past in levels]
-        del levels  # no rank step is left: free the earlier levels
-        ends = _next_level(model, d, block, terminal, [(0, 1)], cut, x)
+        del levels, reached  # no rank step is left: free the earlier levels
+        ends = _next_level(model, d, block, terminal, forward, cut, x)
         return [(bool(e), over and not e) for e, over in zip(ends, capped)]
 
-    return [path for i in range(0, len(seeds), _PROBE_BLOCK)
-            for path in block_paths(seeds[i:i + _PROBE_BLOCK])]
+    weigh = model.unit_weight
+    out: list[tuple[bool, bool, float]] = []
+    group = max(1, _PASS_KEYS // (len(first) + 1))
+    for g in range(0, len(seeds), group):
+        part = seeds[g:g + group]
+        units = edge_units(part, d, np.zeros((len(part), 0), dtype=np.int64),
+                           first + [(p + 1, 1)])
+        taus = [weigh(u) for u in units[:, -1].tolist()]
+        entries = _cheap_entries(model, units[:, :-1], cut)
+        del units  # the group's blocks hold only its cheap entries
+        bounds, rows = entries[0], _rows(entries)
+        after = star if n_steps > 2 else forward
+        for lo, hi in _filled_blocks([b - a for a, b in zip(bounds, bounds[1:])], len(after)):
+            # the blocks take the group's origin rows in turn
+            reached = _reached([{(): 0.0}] * (hi - lo), range(hi - lo), [()] * (hi - lo),
+                               first, rows, x)
+            paths = block_paths(part[lo:hi], reached)
+            out += [(found, over, tau) for (found, over), tau in zip(paths, taus[lo:hi])]
+    return out
 
 
 def search_cross_probe(d: int, model: WeightModel, replicates: int, *,
@@ -474,7 +544,8 @@ def search_cross_probe(d: int, model: WeightModel, replicates: int, *,
     that keeps each replicate's ``node_cap`` cheapest states: the search
     settles states in key order, a dropped state and every state it leads
     to rank past the cap, and each kept state's cost is exact
-    (``_fast_paths_exist``).
+    (``_fast_paths_exist``). The orthogonal first step, the edge from the
+    origin along axis p + 1, is weighed in the sweep's first pass.
     """
     if replicates < 1:
         raise DomainError(f"replicates must be >= 1, got {replicates}")
@@ -489,15 +560,12 @@ def search_cross_probe(d: int, model: WeightModel, replicates: int, *,
     n_steps = int(math.floor(0.75 * math.log(d)))
     x = 9.0 * math.log(d) / (4.0 * a * d)
     y = 32.0 * math.log(d) / (a * d)
-    ortho_axis = p + 1  # first axis outside both the subspace and the forward axis
 
-    seeds = replicate_seeds(model, d, replicates)
-    taus = edge_units(seeds, d, np.zeros((replicates, 0), dtype=np.int64),
-                      [(ortho_axis, 1)])
-    tau_ok = np.array([model.quantile(u) <= y for u in taus[:, 0].tolist()])
-    paths = _fast_paths_exist(model, seeds, d, p, n_steps, x, node_cap)
-    path_ok = np.array([found for found, _ in paths])
-    capped = sum(1 for _, c in paths if c)
+    paths = _fast_paths_exist(model, replicate_seeds(model, d, replicates), d, p,
+                              n_steps, x, node_cap)
+    tau_ok = np.array([tau <= y for _, _, tau in paths])
+    path_ok = np.array([found for found, _, _ in paths])
+    capped = sum(1 for _, c, _ in paths if c)
     both = int(np.count_nonzero(tau_ok & path_ok))
     return SearchCrossReport(
         d=d,

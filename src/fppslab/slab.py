@@ -162,7 +162,7 @@ def _lazy_search(model, starts: list[Point], span: int, settled_cap: int,
     if span == 1:
         moves.remove((0, -1))  # every expanded vertex lies on x_1 = lo
     hashed = seeds is not None and type(model) is WeightModel
-    quantile = model.quantile if hashed else None
+    weigh = model.unit_weight if hashed else None  # the quantile, for units in [0, 1)
     block = _SEARCH_BLOCK if span == 1 else _WIDE_BLOCK
     waiting = iter(range(len(starts)))
     # per live search: [r, hi, dist, heap, best, its model, settled count]
@@ -218,7 +218,7 @@ def _lazy_search(model, starts: list[Point], span: int, settled_cap: int,
                     continue
                 # the edge's base is its endpoint with the smaller x_axis
                 nd = val + (source.edge_weight(EdgeId(v if delta > 0 else q, axis))
-                            if unit is None else quantile(unit))
+                            if unit is None else weigh(unit))
                 if nd >= known:
                     continue
                 if q[0] == hi:

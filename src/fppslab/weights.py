@@ -40,7 +40,11 @@ vectorized lower bound on each unit's weight, so a caller that prunes
 weights above a threshold skips every unit whose floor already exceeds
 it and sends only the rest through ``quantile``.
 ``WeightModel.quantile_cut(x)`` bounds the units whose weight can be at
-most x, for a caller with one threshold x for all units.
+most x, for a caller with one threshold x for all units. The scalar step
+itself is ``WeightModel.unit_weight``, the quantile without its argument
+check, set once per model: ``quantile`` calls it after the check, and
+``edge_weight`` and the batched callers, whose units lie in [2^-54,
+``_Y_MAX``], call it directly.
 
 Supported families:
 
@@ -57,6 +61,7 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -227,6 +232,30 @@ def _bits_double(b: int) -> float:
     return struct.unpack("<d", struct.pack("<q", b))[0]
 
 
+def _unit_weight(family: str, a: float | None, ys: tuple[float, ...],
+                 xs: tuple[float, ...]) -> Callable[[float], float]:
+    """The quantile of one family as a function of a unit y in [0, 1),
+    unchecked: the one home of each family's formula."""
+    if family == "exp":
+        log1p = math.log1p
+        return lambda y: -log1p(-y) / a
+    if family == "uniform":
+        return lambda y: y / a
+    y_last, x_last = ys[-1], xs[-1]
+
+    def table(y: float) -> float:
+        if y >= y_last:
+            return x_last
+        # leftmost node with node_y >= y keeps the inverse left-continuous
+        j = bisect_left(ys, y)
+        if ys[j] == y:
+            return xs[j]
+        y0, x0 = ys[j - 1], xs[j - 1]
+        return x0 + (y - y0) * (xs[j] - x0) / (ys[j] - y0)
+
+    return table
+
+
 @dataclass(frozen=True)
 class WeightModel:
     """An i.i.d. edge-weight distribution plus the seed of its realization.
@@ -249,6 +278,10 @@ class WeightModel:
                                    default=())
     _xs: tuple[float, ...] = field(init=False, repr=False, compare=False, hash=False,
                                    default=())
+    # quantile without its argument check, for units already in [0, 1): one
+    # closure per family over its constants, so hot loops bind it once
+    unit_weight: Callable[[float], float] = field(
+        init=False, repr=False, compare=False, hash=False, default=None)
     # weight_floor's table pieces: the node ys past the first, and per piece
     # (y0, x0, x1 - x0, y1 - y0), the last one flat at the last node
     _pieces: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False,
@@ -293,6 +326,8 @@ class WeightModel:
                                                  *np.array(pieces).T.copy()))
         if self.a is not None:
             check_rate(self.a, "rate a")
+        object.__setattr__(self, "unit_weight", _unit_weight(self.family, self.a,
+                                                             self._ys, self._xs))
 
     # -- distribution ------------------------------------------------------
 
@@ -304,20 +339,7 @@ class WeightModel:
         """
         if not 0.0 <= y < 1.0:
             raise DomainError(f"quantile argument must lie in [0, 1), got {y}")
-        if self.family == "exp":
-            return -math.log1p(-y) / self.a
-        if self.family == "uniform":
-            return y / self.a
-        ys, xs = self._ys, self._xs
-        if y >= ys[-1]:
-            return xs[-1]
-        # leftmost node with node_y >= y keeps the inverse left-continuous
-        j = bisect_left(ys, y)
-        if ys[j] == y:
-            return xs[j]
-        y0, x0 = ys[j - 1], xs[j - 1]
-        y1, x1 = ys[j], xs[j]
-        return x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        return self.unit_weight(y)
 
     def cdf(self, x: float) -> float:
         """Forward distribution function F(x).
@@ -360,30 +382,51 @@ class WeightModel:
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & U64
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & U64
             h = z ^ (z >> 31)
-        return self.quantile(bits_to_unit(h))
+        return self.unit_weight(bits_to_unit(h))
 
     def quantile_cut(self, x: float) -> float:
         """A unit c with ``quantile(u) > x`` for every unit u > c.
 
-        The bisection over the doubles in [0, ``_Y_MAX``] finds the
-        largest u with ``quantile(u) <= x``, which is F(x) as the quantile
-        rounds it. ``quantile`` is nondecreasing in doubles for the
-        uniform and table families, whose steps are each one correctly
-        rounded operation. The 2^-40 added covers the last-ulp errors of
-        ``math.log1p`` in the exp family: there the quantile's slope is at
-        least 1/a, so a unit 2^-40 higher weighs 2^-40/a more, far beyond
-        a few ulps of any weight (all are below 38/a).
+        Uniform and exp: the bisection over the doubles in [0, ``_Y_MAX``]
+        finds the largest u with ``quantile(u) <= x``, which is F(x) as the
+        quantile rounds it. The uniform quantile, y / a, is one correctly
+        rounded operation and so nondecreasing in doubles. The 2^-40 added
+        covers the last-ulp errors of ``math.log1p`` in the exp family:
+        there the quantile's slope is at least 1/a, so a unit 2^-40 higher
+        weighs 2^-40/a more, far beyond a few ulps of any weight (all are
+        below 38/a).
+
+        Table: the table quantile is not nondecreasing in doubles. Just
+        below a node y_k its piece's x0 + (u - y0) * (x1 - x0) / (y1 - y0)
+        can round one ulp above x_k, while ``quantile(y_k)`` is x_k. On
+        each node's half-open piece [y_j, y_(j+1)) it is nondecreasing,
+        though: x_j at the node, and inside the piece a chain of correctly
+        rounded operations, each nondecreasing in u, none below x_j. With
+        m the last node whose x is <= x, every node above m and every
+        piece above m's starts above x, so only m's piece can hold the
+        largest unit whose quantile is <= x, and the bisection runs over
+        that piece's doubles alone. Past the last node every unit weighs
+        the last x; if that is <= x, the cut is ``_Y_MAX``.
         """
-        lo, hi = 0, _double_bits(_Y_MAX)
-        if self.quantile(0.0) > x:
-            return 0.0
+        if self.family == "table":
+            m = bisect_right(self._xs, x) - 1
+            if m < 0:
+                return 0.0
+            if m == len(self._ys) - 1:
+                return _Y_MAX
+            lo = _double_bits(self._ys[m])  # quantile(y_m) = x_m <= x
+            hi = _double_bits(self._ys[m + 1]) - 1
+        else:
+            if self.quantile(0.0) > x:
+                return 0.0
+            lo, hi = 0, _double_bits(_Y_MAX)
         while lo < hi:  # quantile(lo) <= x throughout
             mid = (lo + hi + 1) // 2
             if self.quantile(_bits_double(mid)) <= x:
                 lo = mid
             else:
                 hi = mid - 1
-        return _bits_double(lo) + 2.0**-40
+        return _bits_double(lo) if self.family == "table" else _bits_double(lo) + 2.0**-40
 
     def weight_floor(self, units: np.ndarray) -> np.ndarray:
         """A lower bound on ``quantile(u)`` for each u of the float64 array

@@ -17,6 +17,8 @@ test can build an edge whose key hashes to chosen bits.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left
 from heapq import heappop, heappush
 from math import inf
 
@@ -110,6 +112,24 @@ def edge_weight_reference(model, e: EdgeId) -> float:
     """The v1 oracle's weight of e: the key (d, axis, *base) folded in one go."""
     h = fold64(model.seed, (len(e.base), e.axis, *e.base))
     return model.quantile(bits_to_unit(h))
+
+
+def quantile_formula(model, y: float) -> float:
+    """Each family's quantile formula at a unit y, written out on its own:
+    -log1p(-y)/a, y/a, or the table's interpolation on the piece holding y
+    (a node's y gives its x; past the last node, the last x)."""
+    if model.family == "exp":
+        return -math.log1p(-y) / model.a
+    if model.family == "uniform":
+        return y / model.a
+    ys = [p[0] for p in model.points]
+    xs = [p[1] for p in model.points]
+    if y >= ys[-1]:
+        return xs[-1]
+    j = bisect_left(ys, y)
+    if ys[j] == y:
+        return xs[j]
+    return xs[j - 1] + (y - ys[j - 1]) * (xs[j] - xs[j - 1]) / (ys[j] - ys[j - 1])
 
 
 def table_quantile_bruteforce(points, y: float, n: int = 400_001) -> float:

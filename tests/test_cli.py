@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fppslab.cli import main
+from fppslab.cli import build_parser, main
 from fppslab.weights import WeightModel, derive_seed
 from fppslab.experiments import ExperimentConfig, sample_crossing_values
 
@@ -444,3 +444,25 @@ def test_cli_outputs_match_recorded_digests(tmp_path):
             assert run(argv + ["--format", fmt, "--out", str(out)]) == 0
             got = hashlib.sha256(out.read_bytes()).hexdigest()
             assert got == DIGESTS[name, fmt], (name, fmt)
+
+
+@pytest.mark.parametrize("bad", [
+    ["--reps", "7", "--bogus", "1"],         # an unknown flag
+    ["--reps", "7", "--budget-cap", "x"],    # a value its type rejects
+    ["--reps", "7", "--format", "xml"],      # a value outside the choices
+], ids=["unknown", "type", "choice"])
+def test_failed_parse_leaves_the_shared_parser_as_built(tmp_path, capsys, bad):
+    # main() reuses one parser per process; a parse that exits 2 partway
+    # through leaves it as a freshly built one, and so leaves the bytes
+    argv = DIGEST_COMMANDS["search-cross"]
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        run(["search-cross", "--d", "16", *bad, "--out", str(tmp_path / "bad.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "bad.csv").exists()
+    shared, fresh = tmp_path / "shared.json", tmp_path / "fresh.json"
+    assert run(argv + ["--format", "json", "--out", str(shared)]) == 0
+    build_parser.cache_clear()
+    assert run(argv + ["--format", "json", "--out", str(fresh)]) == 0
+    assert shared.read_bytes() == fresh.read_bytes()
+    assert hashlib.sha256(fresh.read_bytes()).hexdigest() == DIGESTS["search-cross", "json"]

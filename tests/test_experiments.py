@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from fppslab import experiments
 from fppslab.errors import DomainError, SamplerMismatch
 from fppslab.experiments import (
-    _PROBE_BLOCK,
     ExperimentConfig,
     _dense,
     _fast_paths_exist,
+    _filled_blocks,
     _next_level,
     concentration_curve,
     ks_statistic,
@@ -28,6 +28,7 @@ from fppslab.experiments import (
     ui_tail,
     wilson_interval,
 )
+from fppslab.lattice import EdgeId
 from fppslab.slab import point_to_hyperplane_time, slab_crossing_time
 from fppslab.weights import WeightModel, derive_seed, edge_units
 
@@ -202,7 +203,8 @@ CAPS = (1, 2, 3, 8, 40, 1_000_000)
 
 
 def assert_batched_search_matches_scalar(model, seeds, d, n_steps, x, node_cap):
-    got = _fast_paths_exist(model, seeds, d, d // 2, n_steps, x, node_cap)
+    got = [(found, capped) for found, capped, _ in
+           _fast_paths_exist(model, seeds, d, d // 2, n_steps, x, node_cap)]
     want = [fast_path_exists_scalar(model.with_seed(s), d, d // 2, n_steps, x, node_cap)
             for s in seeds]
     assert got == want
@@ -234,15 +236,16 @@ def test_fast_path_search_with_ties_on_the_cut(d, n_steps, node_cap):
 @pytest.mark.parametrize("family, budget", [("exp", 2.0), ("table", None)])
 @pytest.mark.parametrize("d", (8, 16, 64))
 def test_fast_path_search_across_blocks(family, d, budget):
-    # 2 blocks and 3 seeds; each cap lies between the state counts of the
-    # first block's seeds, so one block holds seeds whose levels outgrow the
-    # cap and seeds whose levels fit. On the table, x sits on the atom at 0.3.
+    # 35 seeds, cut into blocks by their level-1 sizes; each cap lies
+    # between the state counts of the first 16 seeds, so a block holds seeds
+    # whose levels outgrow the cap and seeds whose levels fit. On the table,
+    # x sits on the atom at 0.3.
     model = WeightModel(**FAMILIES[family], seed=23)
     n_steps, p = 3, d // 2
     x = 0.3 if budget is None else budget * 9.0 * math.log(d) / (4.0 * d)
-    seeds = replicate_seeds(model, d, 2 * _PROBE_BLOCK + 3)
+    seeds = replicate_seeds(model, d, 35)
     first = sorted(cheap_state_count(model.with_seed(s), d, p, n_steps, x)
-                   for s in seeds[:_PROBE_BLOCK])
+                   for s in seeds[:16])
     assert first[0] < first[-1]
     for node_cap in (first[0], first[len(first) // 2], first[-1] - 1):
         assert first[0] <= node_cap < first[-1]
@@ -268,7 +271,7 @@ def test_capped_search_keeps_the_tie_order_and_bounds_its_work(monkeypatch, d):
     monkeypatch.setattr(experiments, "edge_units", counted_units)
     model = WeightModel(family="table", points=ZERO_ATOM_TABLE, seed=5)
     n_steps, p, x = 3, d // 2, 0.0
-    seeds = replicate_seeds(model, d, _PROBE_BLOCK + 1)
+    seeds = replicate_seeds(model, d, 17)
     most = max(cheap_state_count(model.with_seed(s), d, p, n_steps, x) for s in seeds)
     for node_cap in (1, 12, 40, most + 1):
         hashed.clear()
@@ -276,30 +279,92 @@ def test_capped_search_keeps_the_tie_order_and_bounds_its_work(monkeypatch, d):
         assert max(hashed.values()) <= n_steps * (node_cap + 1) * 2 * p
 
 
-def test_search_cross_probe_work_count(monkeypatch):
-    # One edge_units pass per level per block of _PROBE_BLOCK = 16, plus the
-    # orthogonal steps' pass: 4 blocks x 3 levels + 1 = 13 for 50 replicates
-    # at d = 64 (40 with blocks of 4), also when the node cap cuts some off.
-    units = []
+def count_passes(monkeypatch) -> list[int]:
+    """The key count of every edge_units pass the probe makes from here on."""
+    keys = []
 
-    def counted_units(*args):
-        units.append(1)
-        return edge_units(*args)
+    def counted_units(seeds, d, coords, moves):
+        keys.append(len(seeds) * len(moves))
+        return edge_units(seeds, d, coords, moves)
 
     monkeypatch.setattr(experiments, "edge_units", counted_units)
+    return keys
+
+
+def test_search_cross_probe_work_count(monkeypatch):
+    # One pass weighs all 50 origins' stars and orthogonal steps at d = 64;
+    # then blocks whose level-1 stars fill about one pass take one level-1
+    # pass and one forward pass each: 5 passes (13 with the blocks of 16
+    # and the orthogonal steps' own pass), also when the node cap cuts
+    # some seeds off. A single replicate at d = 192 takes 3.
+    keys = count_passes(monkeypatch)
     model = WeightModel(family="exp", a=1.0, seed=9)
     d, reps = 64, 50
     search_cross_probe(d, model, reps)
-    assert len(units) <= 13
+    assert len(keys) <= 5
+    assert keys[0] == reps * (d + 1)
 
-    units.clear()
+    keys.clear()
     node_cap = 40
     rep = search_cross_probe(d, model, reps, node_cap=node_cap)
-    assert len(units) <= 13
+    assert len(keys) <= 5
     x = 9.0 * math.log(d) / (4.0 * d)
     over = [cheap_state_count(model.with_seed(s), d, d // 2, rep.path_steps, x) > node_cap
             for s in replicate_seeds(model, d, reps)]
     assert 0 < rep.capped_replicates <= sum(over) < reps
+
+    keys.clear()
+    search_cross_probe(192, model, 1)
+    assert len(keys) <= 3
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("d", (8, 16, 64, 192))
+def test_orthogonal_steps_from_the_origin_pass_are_their_edge_weights(family, d):
+    # the origin pass carries each seed's edge from the origin along axis
+    # p + 1; at d = 8 the path has one step, so that pass holds the forward
+    # edge and no star
+    model = WeightModel(**FAMILIES[family], seed=41)
+    p, n_steps = d // 2, int(math.floor(0.75 * math.log(d)))
+    seeds = replicate_seeds(model, d, 300 if d <= 16 else 12)
+    got = [tau for _, _, tau in _fast_paths_exist(model, seeds, d, p, n_steps,
+                                                  9.0 * math.log(d) / (4.0 * d), 100)]
+    origin = (0,) * d
+    assert [w.hex() for w in got] == [
+        model.with_seed(s).edge_weight(EdgeId(origin, p + 1)).hex() for s in seeds]
+
+
+def test_filled_blocks_fill_one_pass():
+    keys = experiments._PASS_KEYS
+    assert list(_filled_blocks([], 64)) == [(0, 0)]
+    assert list(_filled_blocks([keys // 64 + 1, 1, 0], 64)) == [(0, 1), (1, 3)]
+    assert list(_filled_blocks([1] * 10, keys // 4)) == [(0, 4), (4, 8), (8, 10)]
+    assert list(_filled_blocks([0] * 5, 64)) == [(0, 5)]
+
+
+def test_fast_path_search_in_lone_and_shared_blocks(monkeypatch):
+    # With passes of 128 keys at d = 16 (16 moves in a star), a block's
+    # level-1 states number at most 8, and the origin pass holds 7 seeds
+    # (17 keys each). At half the probe's x, seeds with many level-1 states
+    # form blocks of their own and seeds with few share one; both kinds
+    # occur, and every answer stays the scalar search's.
+    blocks = []
+
+    def recorded(sizes, per_state):
+        cuts = list(_filled_blocks(sizes, per_state))
+        blocks.extend(hi - lo for lo, hi in cuts)
+        return cuts
+
+    monkeypatch.setattr(experiments, "_PASS_KEYS", 128)
+    monkeypatch.setattr(experiments, "_filled_blocks", recorded)
+    model = WeightModel(family="exp", a=1.0, seed=57)
+    d, n_steps = 16, 3
+    seeds = replicate_seeds(model, d, 40)
+    x = 0.5 * 9.0 * math.log(d) / (4.0 * d)
+    for node_cap in (3, 8, 1_000_000):  # 35, 15 and 0 of the 40 capped
+        blocks.clear()
+        assert_batched_search_matches_scalar(model, seeds, d, n_steps, x, node_cap)
+        assert 1 in blocks and max(blocks) >= 3
 
 
 def test_probe_block_scatter_matches_dense_tuples():

@@ -27,7 +27,7 @@ from fppslab.weights import (
     verify_density_condition,
 )
 
-from oracles import edge_weight_reference, table_quantile_bruteforce, unmix64
+from oracles import edge_weight_reference, quantile_formula, table_quantile_bruteforce, unmix64
 
 
 # table for F with an atom at x = 1.0 of mass 0.4 (quantile flat on (0.3, 0.7])
@@ -321,7 +321,8 @@ def test_quantile_cut_bounds_the_units_at_most_x(family, points, x):
     # 2^-40 above the largest unit that does not
     m = WeightModel(family=family, a=1.0, points=points)
     cut = m.quantile_cut(x)
-    above = [u for u in (cut + 2.0**-52, cut * (1 + 2.0**-40), (cut + 1.0) / 2) if u < 1.0]
+    above = [u for u in (math.nextafter(cut, 1.0), cut + 2.0**-52, cut * (1 + 2.0**-40),
+                         (cut + 1.0) / 2) if cut < u < 1.0]
     assert all(m.quantile(u) > x for u in above)
     assert m.quantile(min(max(cut - 2.0**-39, 0.0), 1.0 - 2.0**-53)) <= x
 
@@ -427,3 +428,58 @@ def test_weight_floor_stays_at_or_below_the_quantile(family, a, points, data):
     assert [(u, f) for u, f in zip(units, floor) if not f <= model.quantile(u)] == []
     if family != "exp":  # the uniform and table floors are the quantile itself
         assert floor == [model.quantile(u) for u in units]
+
+
+# the table quantile rounds one ulp above the node's x just below this node
+BUMP_TABLE = ((0.0, 7.469165249815657e-05), (0.048356395927072526, 0.0007474162098489624),
+              (1.0, 1.0))
+
+
+@st.composite
+def quantile_tables(draw):
+    """2-6 nodes (y, x): y from 0 strictly up to at most 1, x >= 0 and
+    nondecreasing, with repeated xs (flat pieces) drawn often."""
+    n = draw(st.integers(2, 6))
+    ys = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n - 1,
+                       max_size=n - 1, unique=True))
+    xs = draw(st.lists(st.one_of(st.floats(0.0, 10.0), st.sampled_from((0.0, 1.0))),
+                       min_size=n, max_size=n))
+    return tuple(zip([0.0, *sorted(ys)], sorted(xs)))
+
+
+def test_table_quantile_dips_at_a_node():
+    m = WeightModel(family="table", points=BUMP_TABLE)
+    y, x = BUMP_TABLE[1]
+    assert m.quantile(math.nextafter(y, 0.0)) > m.quantile(y) == x
+    assert m.quantile_cut(x) >= y
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(points=st.one_of(st.just(BUMP_TABLE), quantile_tables()), data=st.data())
+def test_table_quantile_cut_holds_past_the_dips(points, data):
+    # x at a node's x: every double just above the cut and every node y
+    # above it weighs more than x, and the cut itself weighs x or less
+    m = WeightModel(family="table", points=points)
+    x = data.draw(st.sampled_from([x for _, x in points]))
+    cut = m.quantile_cut(x)
+    above, u = [], cut
+    for _ in range(8):
+        u = math.nextafter(u, 1.0)
+        above.append(u)
+    above += [y for y, _ in points]
+    above = [u for u in above if cut < u <= _Y_MAX]
+    assert [u for u in above if not m.quantile(u) > x] == []
+    assert m.quantile(min(cut, _Y_MAX)) <= x
+
+
+@pytest.mark.parametrize("family, a, points", FLOOR_MODELS)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unit_weight_is_the_family_formula_bit_for_bit(family, a, points, data):
+    # the unchecked quantile that the kernels call, and the checked one
+    model = WeightModel(family=family, a=a, points=points)
+    units = data.draw(st.lists(adversarial_units(model), min_size=1, max_size=40))
+    want = [quantile_formula(model, u).hex() for u in units]
+    for m in (model, model.with_seed(3)):
+        assert [m.unit_weight(u).hex() for u in units] == want
+        assert [m.quantile(u).hex() for u in units] == want
