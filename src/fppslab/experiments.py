@@ -347,14 +347,14 @@ def _dense(verts: list[Sparse]) -> np.ndarray:
 
 
 def _cheap_entries(model: WeightModel, units: np.ndarray,
-                   cut: float) -> tuple[list[int], list[int], list[float]]:
-    """The entries of the unit matrix ``units`` at most ``cut``, row by
-    row, as flat lists (bounds, cols, weights): row r's are those at
-    bounds[r]:bounds[r + 1], in column order. The weights come from the
-    scalar ``unit_weight``, so each is its edge's ``edge_weight`` bit for
-    bit."""
+                   x: float) -> tuple[list[int], list[int], list[float]]:
+    """The entries of the unit matrix ``units`` whose ``weight_floor`` is
+    at most x, row by row, as flat lists (bounds, cols, weights): row r's
+    are those at bounds[r]:bounds[r + 1], in column order. The weights
+    come from the scalar ``unit_weight``, so each is its edge's
+    ``edge_weight`` bit for bit; a few exp ones exceed x."""
     weigh = model.unit_weight
-    rows, cols = np.nonzero(units <= cut)
+    rows, cols = np.nonzero(model.weight_floor(units) <= x)
     bounds = [0, *np.cumsum(np.bincount(rows, minlength=len(units))).tolist()]
     return bounds, cols.tolist(), [weigh(u) for u in units[rows, cols].tolist()]
 
@@ -367,15 +367,15 @@ def _rows(entries: tuple[list[int], list[int], list[float]]):
 
 
 def _cheap_moves(model: WeightModel, d: int, seeds: list[int], verts: list[Sparse],
-                 moves, cut: float):
+                 moves, x: float):
     """For each (seed, vertex) pair in turn, the indices and weights of the
-    ``moves`` whose oracle unit is at most ``cut``, in move order
-    (``_cheap_entries``). The units come from ``edge_units`` passes of at
-    most ``_PASS_KEYS`` keys, made as the pairs are consumed."""
+    ``moves`` whose oracle unit has ``weight_floor`` at most x, in move
+    order (``_cheap_entries``). The units come from ``edge_units`` passes
+    of at most ``_PASS_KEYS`` keys, made as the pairs are consumed."""
     size = max(1, _PASS_KEYS // len(moves))
     for lo in range(0, len(verts), size):
         units = edge_units(seeds[lo:lo + size], d, _dense(verts[lo:lo + size]), moves)
-        entries = _cheap_entries(model, units, cut)
+        entries = _cheap_entries(model, units, x)
         del units  # free the pass before its rows are used
         yield from _rows(entries)
 
@@ -399,19 +399,18 @@ def _reached(level: list[dict[Sparse, float]], todo_r: list[int], todo_v: list[S
 
 
 def _next_level(model: WeightModel, d: int, seeds: list[int],
-                level: list[dict[Sparse, float]], moves, cut: float,
-                x: float) -> list[dict[Sparse, float]]:
+                level: list[dict[Sparse, float]], moves, x: float) -> list[dict[Sparse, float]]:
     """One step of the sweep for every seed at once: from ``level[r]``
     (v -> least cost), each vertex one of ``moves`` reaches within x,
     mapped to its least ``cost + w``. All seeds' moves share the
-    ``edge_units`` passes, and only units at or below ``cut`` are weighed:
-    any other edge weighs more than x."""
+    ``edge_units`` passes, and only units whose ``weight_floor`` is at
+    most x are weighed: any other edge weighs more than x."""
     todo_r: list[int] = []
     todo_v: list[Sparse] = []
     for r, states in enumerate(level):
         todo_v += states
         todo_r += [r] * len(states)
-    cheap = _cheap_moves(model, d, [seeds[r] for r in todo_r], todo_v, moves, cut)
+    cheap = _cheap_moves(model, d, [seeds[r] for r in todo_r], todo_v, moves, x)
     return _reached(level, todo_r, todo_v, moves, cheap, x)
 
 
@@ -462,14 +461,16 @@ def _fast_paths_exist(model: WeightModel, seeds: list[int], d: int, p: int, n_st
     are all at most x, many seeds' at once. The levels run the search's
     own tests (``nc <= x`` and ``nc < best``) on the same float sums,
     added in path order; weights are >= 0 and float addition is monotone,
-    so both find each state's least cost. The passes are filled, not cut
-    to a fixed count of seeds. The origin's first moves and each seed's
-    orthogonal edge are weighed for as many seeds as one ``edge_units``
-    pass of ``_PASS_KEYS`` keys holds, in that one pass. Those seeds then
-    run the deeper levels in blocks cut so that each block's level-1
-    states, with one key per next move, fill about one pass
-    (``_filled_blocks``). Every edge's unit is that of its own (seed,
-    edge) key, so how the seeds are grouped changes no level.
+    so both find each state's least cost. A level weighs only the edges
+    whose ``weight_floor`` is at most x, as any other weighs more than x;
+    an exp edge that passes yet weighs more fails ``nc <= x``, as nc >= w.
+    The passes are filled, not cut to a fixed count of seeds. The origin's
+    first moves and each seed's orthogonal edge are weighed for as many
+    seeds as one ``edge_units`` pass of ``_PASS_KEYS`` keys holds, in that
+    one pass. Those seeds then run the deeper levels in blocks cut so that
+    each block's level-1 states, with one key per next move, fill about
+    one pass (``_filled_blocks``). Every edge's unit is that of its own
+    (seed, edge) key, so how the seeds are grouped changes no level.
 
     After each subspace level, a seed that has seen more than ``node_cap``
     states keeps only the states with its ``node_cap`` smallest keys, and
@@ -485,7 +486,6 @@ def _fast_paths_exist(model: WeightModel, seeds: list[int], d: int, p: int, n_st
     state, and its path exists iff the level past the forward edge is not
     empty.
     """
-    cut = model.quantile_cut(x)
     star = [(axis, delta) for axis in range(1, p + 1) for delta in (1, -1)]
     forward = [(0, 1)]
     first = star if n_steps > 1 else forward
@@ -498,8 +498,7 @@ def _fast_paths_exist(model: WeightModel, seeds: list[int], d: int, p: int, n_st
         capped = [False] * len(block)
         for t in range(1, n_steps):
             if t > 1:
-                reached = _next_level(model, d, block, [past[-1] for past in levels],
-                                      star, cut, x)
+                reached = _next_level(model, d, block, [past[-1] for past in levels], star, x)
             for r, (past, states) in enumerate(zip(levels, reached)):
                 past.append(states)
                 if sum(map(len, past)) > node_cap:
@@ -507,7 +506,7 @@ def _fast_paths_exist(model: WeightModel, seeds: list[int], d: int, p: int, n_st
                     _keep_cheapest(past, node_cap, d)
         terminal = [past[-1] for past in levels]
         del levels, reached  # no rank step is left: free the earlier levels
-        ends = _next_level(model, d, block, terminal, forward, cut, x)
+        ends = _next_level(model, d, block, terminal, forward, x)
         return [(bool(e), over and not e) for e, over in zip(ends, capped)]
 
     weigh = model.unit_weight
@@ -518,7 +517,7 @@ def _fast_paths_exist(model: WeightModel, seeds: list[int], d: int, p: int, n_st
         units = edge_units(part, d, np.zeros((len(part), 0), dtype=np.int64),
                            first + [(p + 1, 1)])
         taus = [weigh(u) for u in units[:, -1].tolist()]
-        entries = _cheap_entries(model, units[:, :-1], cut)
+        entries = _cheap_entries(model, units[:, :-1], x)
         del units  # the group's blocks hold only its cheap entries
         bounds, rows = entries[0], _rows(entries)
         after = star if n_steps > 2 else forward

@@ -36,11 +36,10 @@ The quantile step stays with the caller and stays scalar: ``np.log1p``
 differs from ``math.log1p`` in the last ulp on about 10% of inputs, so a
 vectorized quantile would change the weights. The one exception decides
 a prune, never a weight: ``WeightModel.weight_floor(units)`` is a
-vectorized lower bound on each unit's weight, so a caller that prunes
-weights above a threshold skips every unit whose floor already exceeds
-it and sends only the rest through ``quantile``.
-``WeightModel.quantile_cut(x)`` bounds the units whose weight can be at
-most x, for a caller with one threshold x for all units. The scalar step
+vectorized lower bound on each unit's weight, and the one vectorized
+prune. The exact kernel skips each move whose floor exceeds ``_reach``,
+the cheap-detour probe each unit whose floor exceeds its budget x, and
+only the rest go through ``quantile``. The scalar step
 itself is ``WeightModel.unit_weight``, the quantile without its argument
 check, set once per model: ``quantile`` calls it after the check, and
 ``edge_weight`` and the batched callers, whose units lie in [2^-54,
@@ -59,7 +58,6 @@ Supported families:
 from __future__ import annotations
 
 import math
-import struct
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -77,7 +75,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 FAMILIES = ("exp", "uniform", "table")
 
 # largest argument quantile() accepts; bits_to_unit clamps 1.0 here, and
-# couple() clamps here for huge t
+# CouplingMap.__call__ clamps here for huge t
 _Y_MAX = 1.0 - 2.0**-53
 
 # mix64's constants as numpy scalars, for the batch oracle
@@ -221,15 +219,6 @@ def bits_to_unit(h: int) -> float:
     """
     u = ((h >> 11) + 0.5) * 2.0**-53
     return u if u < 1.0 else _Y_MAX
-
-
-def _double_bits(u: float) -> int:
-    """The bits of a double >= 0, as an integer that orders like u."""
-    return struct.unpack("<q", struct.pack("<d", u))[0]
-
-
-def _bits_double(b: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", b))[0]
 
 
 def _unit_weight(family: str, a: float | None, ys: tuple[float, ...],
@@ -384,50 +373,6 @@ class WeightModel:
             h = z ^ (z >> 31)
         return self.unit_weight(bits_to_unit(h))
 
-    def quantile_cut(self, x: float) -> float:
-        """A unit c with ``quantile(u) > x`` for every unit u > c.
-
-        Uniform and exp: the bisection over the doubles in [0, ``_Y_MAX``]
-        finds the largest u with ``quantile(u) <= x``, which is F(x) as the
-        quantile rounds it. The uniform quantile, y / a, is one correctly
-        rounded operation and so nondecreasing in doubles. The 2^-40 added
-        covers the last-ulp errors of ``math.log1p`` in the exp family:
-        there the quantile's slope is at least 1/a, so a unit 2^-40 higher
-        weighs 2^-40/a more, far beyond a few ulps of any weight (all are
-        below 38/a).
-
-        Table: the table quantile is not nondecreasing in doubles. Just
-        below a node y_k its piece's x0 + (u - y0) * (x1 - x0) / (y1 - y0)
-        can round one ulp above x_k, while ``quantile(y_k)`` is x_k. On
-        each node's half-open piece [y_j, y_(j+1)) it is nondecreasing,
-        though: x_j at the node, and inside the piece a chain of correctly
-        rounded operations, each nondecreasing in u, none below x_j. With
-        m the last node whose x is <= x, every node above m and every
-        piece above m's starts above x, so only m's piece can hold the
-        largest unit whose quantile is <= x, and the bisection runs over
-        that piece's doubles alone. Past the last node every unit weighs
-        the last x; if that is <= x, the cut is ``_Y_MAX``.
-        """
-        if self.family == "table":
-            m = bisect_right(self._xs, x) - 1
-            if m < 0:
-                return 0.0
-            if m == len(self._ys) - 1:
-                return _Y_MAX
-            lo = _double_bits(self._ys[m])  # quantile(y_m) = x_m <= x
-            hi = _double_bits(self._ys[m + 1]) - 1
-        else:
-            if self.quantile(0.0) > x:
-                return 0.0
-            lo, hi = 0, _double_bits(_Y_MAX)
-        while lo < hi:  # quantile(lo) <= x throughout
-            mid = (lo + hi + 1) // 2
-            if self.quantile(_bits_double(mid)) <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return _bits_double(lo) if self.family == "table" else _bits_double(lo) + 2.0**-40
-
     def weight_floor(self, units: np.ndarray) -> np.ndarray:
         """A lower bound on ``quantile(u)`` for each u of the float64 array
         ``units``, all in [2^-54, ``_Y_MAX``] as ``bits_to_unit`` gives
@@ -552,6 +497,8 @@ def verify_density_condition(model: WeightModel, grid_size: int = 200) -> Densit
     """
     if model.a is None or model.c is None or model.eps0 is None:
         raise UnsupportedModel("density check needs declared a, c and eps0 on the model")
+    if not 0.0 < model.eps0 < math.inf:  # nan fails too
+        raise DomainError(f"eps0 must be finite and > 0, got {model.eps0}")
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
     xs = np.geomspace(model.eps0 * 1e-9, model.eps0, grid_size)

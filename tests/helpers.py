@@ -1,10 +1,14 @@
-"""Statistics helpers that only the tests use."""
+"""Statistics helpers and weight tables that only the tests use."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from fppslab.errors import DomainError
+
+# the table quantile rounds one ulp above the node's x just below this node
+BUMP_TABLE = ((0.0, 7.469165249815657e-05), (0.048356395927072526, 0.0007474162098489624),
+              (1.0, 1.0))
 
 
 def bootstrap_ci(values: np.ndarray, statistic, *, n_boot: int = 1000,

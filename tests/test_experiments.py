@@ -32,7 +32,7 @@ from fppslab.lattice import EdgeId
 from fppslab.slab import point_to_hyperplane_time, slab_crossing_time
 from fppslab.weights import WeightModel, derive_seed, edge_units
 
-from helpers import bootstrap_ci
+from helpers import BUMP_TABLE, bootstrap_ci
 from oracles import cheap_state_count, fast_path_exists_scalar
 
 
@@ -233,6 +233,53 @@ def test_fast_path_search_with_ties_on_the_cut(d, n_steps, node_cap):
     assert_batched_search_matches_scalar(model, seeds, d, n_steps, 0.3, node_cap)
 
 
+@st.composite
+def quantile_tables(draw):
+    """2-6 nodes (y, x): y from 0 strictly up to at most 1, x >= 0 and
+    nondecreasing, with repeated xs (flat pieces) drawn often."""
+    n = draw(st.integers(2, 6))
+    ys = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n - 1,
+                       max_size=n - 1, unique=True))
+    xs = draw(st.lists(st.one_of(st.floats(0.0, 10.0), st.sampled_from((0.0, 1.0))),
+                       min_size=n, max_size=n))
+    return tuple(zip([0.0, *sorted(ys)], sorted(xs)))
+
+
+@pytest.mark.parametrize("d", (16, 64))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(points=st.one_of(st.just(BUMP_TABLE), quantile_tables()), data=st.data())
+def test_fast_path_search_on_tables_that_dip_at_a_node(d, points, data):
+    # x on a node's x: just below a node the table quantile can round one
+    # ulp above it, and on a flat piece many edges weigh exactly x; the
+    # probe's floor prune must keep every edge within x and no other
+    model = WeightModel(family="table", points=points)
+    x = data.draw(st.sampled_from([x for _, x in points]))
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+    n_steps = data.draw(st.integers(1, 3))
+    # past level 1 at d = 64, an uncapped scalar search can settle thousands
+    node_cap = data.draw(st.sampled_from(CAPS if d == 16 else CAPS[:-1]))
+    assert_batched_search_matches_scalar(model, seeds, d, n_steps, x, node_cap)
+
+
+def test_exp_edges_that_pass_the_floor_above_x_change_no_answer(monkeypatch):
+    # the exp floor lies a little below the weight, so a few weighed edges
+    # weigh more than x; the sweep's own test against x drops them
+    over = []
+    cheap_entries = experiments._cheap_entries
+
+    def recorded(model, units, x):
+        entries = cheap_entries(model, units, x)
+        over.extend(w for w in entries[2] if w > x)
+        return entries
+
+    monkeypatch.setattr(experiments, "_cheap_entries", recorded)
+    model = WeightModel(family="exp", a=1.0, seed=31)
+    d = 64
+    seeds = replicate_seeds(model, d, 40)  # 6 such edges among 3,730 weighed
+    assert_batched_search_matches_scalar(model, seeds, d, 3, 9.0 * math.log(d) / (4.0 * d), 40)
+    assert over
+
+
 @pytest.mark.parametrize("family, budget", [("exp", 2.0), ("table", None)])
 @pytest.mark.parametrize("d", (8, 16, 64))
 def test_fast_path_search_across_blocks(family, d, budget):
@@ -391,7 +438,7 @@ def test_probe_block_scatter_matches_dense_tuples():
         for moves in (star, [(0, 1)], [(p + 1, 1), (p, -1)]):
             assert (edge_units(owners, d, block, moves).tobytes()
                     == edge_units(owners, d, dense, moves).tobytes())
-        level = _next_level(model, d, seeds, level, star, 1.0, math.inf)
+        level = _next_level(model, d, seeds, level, star, math.inf)
 
 
 def test_search_cross_probe_makes_no_scalar_oracle_call(monkeypatch):

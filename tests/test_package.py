@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fppslab
 
 BENCH = Path(__file__).resolve().parent.parent / "fppbench"
+SRC = BENCH.parent / "src"
 
 
 def test_every_exported_name_resolves_once():
@@ -40,6 +45,23 @@ def test_benchmark_imports_from_the_package_resolve():
     assert imports
     missing = [imp for imp in imports if not _resolves(imp[1], imp[2])]
     assert not missing
+
+
+def test_benchmark_worker_finds_what_it_reads_beyond_its_imports():
+    # fppbench/worker.py reruns two eden-highd replicates through
+    # sample_slab_crossing(..., validate=True), and reads
+    # sys.modules["scipy"].__version__ for its provenance after running
+    # fppslab.cli, so every run fails if either goes. The benchmark's
+    # files may not change with the package: roadmap items 5 (scipy out
+    # of the library) and 6 (the reference race out of eden) need a
+    # benchmark change first.
+    from fppslab.eden import sample_slab_crossing
+
+    assert "validate" in inspect.signature(sample_slab_crossing).parameters
+    code = "import sys, fppslab.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.stdout.strip() == "True"
 
 
 def test_only_the_exact_kernel_imports_heapq():

@@ -27,6 +27,7 @@ from fppslab.weights import (
     verify_density_condition,
 )
 
+from helpers import BUMP_TABLE
 from oracles import edge_weight_reference, quantile_formula, table_quantile_bruteforce, unmix64
 
 
@@ -181,6 +182,15 @@ def test_density_condition_requires_declared_constants(exp_model):
         verify_density_condition(exp_model, 100)
 
 
+@pytest.mark.parametrize("eps0", [0.0, -0.1, math.nan, math.inf])
+def test_density_condition_rejects_an_eps0_that_is_not_finite_and_positive(eps0):
+    # nan left the grid without a valid point, so nothing was checked and the
+    # check passed; 0 and -0.1 raised numpy's and math's bare ValueError
+    m = WeightModel(family="exp", a=1.0, c=1.0, eps0=eps0)
+    with pytest.raises(DomainError, match="eps0"):
+        verify_density_condition(m, 50)
+
+
 def test_derive_seed_distinct_and_stable():
     s = derive_seed(12345, 3, 7)
     assert s == derive_seed(12345, 3, 7)
@@ -313,20 +323,6 @@ def test_narrow_coordinate_block_matches_its_zero_padded_block(data, d, seeds):
         assert edge_units(seeds, d, block, moves).tobytes() == narrow.tobytes()
 
 
-@pytest.mark.parametrize("family, points", [("exp", None), ("uniform", None),
-                                            ("table", ATOM_TABLE)])
-@pytest.mark.parametrize("x", [0.0, 1e-300, 0.01, 0.3, 0.7, 1.0, 5.0, 40.0])
-def test_quantile_cut_bounds_the_units_at_most_x(family, points, x):
-    # every unit above the cut weighs more than x; the cut is at most
-    # 2^-40 above the largest unit that does not
-    m = WeightModel(family=family, a=1.0, points=points)
-    cut = m.quantile_cut(x)
-    above = [u for u in (math.nextafter(cut, 1.0), cut + 2.0**-52, cut * (1 + 2.0**-40),
-                         (cut + 1.0) / 2) if cut < u < 1.0]
-    assert all(m.quantile(u) > x for u in above)
-    assert m.quantile(min(max(cut - 2.0**-39, 0.0), 1.0 - 2.0**-53)) <= x
-
-
 # seeds below 0 and at or beyond 2^64 as well as in range; fold64 reduces
 # them mod 2^64
 SEEDS = st.one_of(
@@ -430,46 +426,14 @@ def test_weight_floor_stays_at_or_below_the_quantile(family, a, points, data):
         assert floor == [model.quantile(u) for u in units]
 
 
-# the table quantile rounds one ulp above the node's x just below this node
-BUMP_TABLE = ((0.0, 7.469165249815657e-05), (0.048356395927072526, 0.0007474162098489624),
-              (1.0, 1.0))
-
-
-@st.composite
-def quantile_tables(draw):
-    """2-6 nodes (y, x): y from 0 strictly up to at most 1, x >= 0 and
-    nondecreasing, with repeated xs (flat pieces) drawn often."""
-    n = draw(st.integers(2, 6))
-    ys = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n - 1,
-                       max_size=n - 1, unique=True))
-    xs = draw(st.lists(st.one_of(st.floats(0.0, 10.0), st.sampled_from((0.0, 1.0))),
-                       min_size=n, max_size=n))
-    return tuple(zip([0.0, *sorted(ys)], sorted(xs)))
-
-
 def test_table_quantile_dips_at_a_node():
     m = WeightModel(family="table", points=BUMP_TABLE)
     y, x = BUMP_TABLE[1]
     assert m.quantile(math.nextafter(y, 0.0)) > m.quantile(y) == x
-    assert m.quantile_cut(x) >= y
-
-
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(points=st.one_of(st.just(BUMP_TABLE), quantile_tables()), data=st.data())
-def test_table_quantile_cut_holds_past_the_dips(points, data):
-    # x at a node's x: every double just above the cut and every node y
-    # above it weighs more than x, and the cut itself weighs x or less
-    m = WeightModel(family="table", points=points)
-    x = data.draw(st.sampled_from([x for _, x in points]))
-    cut = m.quantile_cut(x)
-    above, u = [], cut
-    for _ in range(8):
-        u = math.nextafter(u, 1.0)
-        above.append(u)
-    above += [y for y, _ in points]
-    above = [u for u in above if cut < u <= _Y_MAX]
-    assert [u for u in above if not m.quantile(u) > x] == []
-    assert m.quantile(min(cut, _Y_MAX)) <= x
+    # the floor is the quantile there too, so a prune at x drops the dip
+    # and keeps the node
+    dip = np.array([math.nextafter(y, 0.0), y])
+    assert m.weight_floor(dip).tolist() == [m.quantile(u) for u in dip.tolist()]
 
 
 @pytest.mark.parametrize("family, a, points", FLOOR_MODELS)
